@@ -41,21 +41,11 @@ let record_mflops name mflops = mflops_results := (name, mflops) :: !mflops_resu
    actually pays — rather than one cold compile. *)
 let timing_reps = 5
 
-type engine_perf = {
-  legacy_seconds : float;
-  plan_seconds : float;
-  perf_sweeps : int;
-  perf_final_change : float;
-  perf_plan_compiles : int;
-  perf_plan_cache_hits : int;
-}
-
-let engine_perf_result : engine_perf option ref = ref None
-
 type kernel_perf = {
   kernel_seconds : float;
-  kernel_v2_seconds : float;
-  kernel_plan_seconds : float;
+  general_seconds : float;  (** the same solve on the general evaluator *)
+  general_plan_compiles : int;
+  general_plan_cache_hits : int;
   kernel_sweeps : int;
   kernel_final_change : float;
   kernel_compiles : int;
@@ -191,29 +181,22 @@ let write_bench_json path =
         (if i = List.length exps - 1 then "" else ","))
     exps;
   out "  ]";
-  (match !engine_perf_result with
-  | None -> ()
-  | Some p ->
-      out ",\n  \"jacobi_n9\": {\n";
-      out "    \"timing_reps\": %d,\n" timing_reps;
-      out "    \"legacy_seconds\": %.4f,\n" p.legacy_seconds;
-      out "    \"plan_seconds\": %.4f,\n" p.plan_seconds;
-      out "    \"speedup\": %.2f,\n" (p.legacy_seconds /. p.plan_seconds);
-      out "    \"sweeps\": %d,\n" p.perf_sweeps;
-      out "    \"final_change\": %.17e,\n" p.perf_final_change;
-      out "    \"plan_compiles\": %d,\n" p.perf_plan_compiles;
-      out "    \"plan_cache_hits\": %d\n" p.perf_plan_cache_hits;
-      out "  }");
   (match !kernel_perf_result with
   | None -> ()
   | Some k ->
+      out ",\n  \"jacobi_n9\": {\n";
+      out "    \"timing_reps\": %d,\n" timing_reps;
+      out "    \"general_seconds\": %.4f,\n" k.general_seconds;
+      out "    \"sweeps\": %d,\n" k.kernel_sweeps;
+      out "    \"final_change\": %.17e,\n" k.kernel_final_change;
+      out "    \"plan_compiles\": %d,\n" k.general_plan_compiles;
+      out "    \"plan_cache_hits\": %d\n" k.general_plan_cache_hits;
+      out "  }";
       out ",\n  \"kernel\": {\n";
       out "    \"timing_reps\": %d,\n" timing_reps;
       out "    \"kernel_seconds\": %.4f,\n" k.kernel_seconds;
-      out "    \"v2_seconds\": %.4f,\n" k.kernel_v2_seconds;
-      out "    \"plan_seconds\": %.4f,\n" k.kernel_plan_seconds;
-      out "    \"speedup\": %.2f,\n" (k.kernel_plan_seconds /. k.kernel_seconds);
-      out "    \"speedup_vs_v2\": %.2f,\n" (k.kernel_v2_seconds /. k.kernel_seconds);
+      out "    \"general_seconds\": %.4f,\n" k.general_seconds;
+      out "    \"speedup_vs_general\": %.2f,\n" (k.general_seconds /. k.kernel_seconds);
       out "    \"sweeps\": %d,\n" k.kernel_sweeps;
       out "    \"final_change\": %.17e,\n" k.kernel_final_change;
       out "    \"kernel_compiles\": %d,\n" k.kernel_compiles;
@@ -1024,8 +1007,7 @@ let a2_sor () =
 (* ------------------------------------------------------------------ *)
 
 let perf_engine () =
-  section "PERF"
-    "simulator host time: v3 kernels vs. v2 kernels vs. plans vs. legacy dispatch";
+  section "PERF" "simulator host time: v3 fused kernels vs. the general evaluator";
   let prob = Poisson.manufactured 9 in
   let tol = 1e-6 and max_iters = 4000 in
   let b = Jacobi.build kb prob.Poisson.grid ~tol ~max_iters in
@@ -1064,11 +1046,9 @@ let perf_engine () =
     done;
     (!best, warm)
   in
-  let legacy_seconds, legacy_o = time_engine `Legacy in
   Stats.reset_plan_counters ();
-  let plan_seconds, plan_o = time_engine `Plan in
+  let general_seconds, general_o = time_engine `General in
   let compiles = Stats.plan_compiles () and hits = Stats.plan_cache_hits () in
-  let v2_seconds, v2_o = time_engine `Kernel_v2 in
   Stats.reset_kernel_counters ();
   let kernel_seconds, kernel_o = time_engine `Kernel in
   let kcompiles = Stats.kernel_compiles ()
@@ -1081,15 +1061,13 @@ let perf_engine () =
     sweeps_of a = sweeps_of b
     && Int64.bits_of_float (change_of a) = Int64.bits_of_float (change_of b)
   in
-  if not (agrees legacy_o plan_o) then failwith "PERF: plan and legacy engines disagree";
-  if not (agrees v2_o plan_o) then failwith "PERF: v2 kernel and plan engines disagree";
-  let residual_match = agrees kernel_o plan_o in
-  if not residual_match then failwith "PERF: kernel and plan engines disagree";
-  (* the same four paths must also agree instruction-for-instruction under
-     a seeded fault model: faults draw from one deterministic stream, so a
-     freshly installed same-seed model must yield one bit-identical
-     outcome whichever engine executes it (this exercises the latch
-     materialisation of elided pass-through units too) *)
+  let residual_match = agrees kernel_o general_o in
+  if not residual_match then failwith "PERF: kernel and general evaluator disagree";
+  (* the two paths must also agree under a seeded fault model: faults
+     draw from one deterministic stream, so a freshly installed same-seed
+     model must yield one bit-identical outcome whichever evaluator runs
+     it (this exercises the latch materialisation of elided pass-through
+     units too) *)
   let faulted_outcome engine =
     let module F = Nsc_fault.Fault in
     let spec =
@@ -1104,58 +1082,35 @@ let perf_engine () =
     F.clear ();
     match r with Error e -> failwith ("PERF: " ^ e) | Ok o -> o
   in
-  let f_kernel = faulted_outcome `Kernel in
-  let faulted_match =
-    agrees (faulted_outcome `Legacy) f_kernel
-    && agrees (faulted_outcome `Plan) f_kernel
-    && agrees (faulted_outcome `Kernel_v2) f_kernel
-  in
+  let faulted_match = agrees (faulted_outcome `Kernel) (faulted_outcome `General) in
   if not faulted_match then
-    failwith "PERF: engines disagree under a seeded fault model";
-  let kernel_speedup = plan_seconds /. kernel_seconds in
-  let v2_speedup = v2_seconds /. kernel_seconds in
+    failwith "PERF: kernel and general evaluator disagree under a seeded fault model";
+  let speedup = general_seconds /. kernel_seconds in
   row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps, final change %.3e):\n"
-    (sweeps_of plan_o) (change_of plan_o);
-  row "compiled once, caches shared; best of %d runs per engine:\n" timing_reps;
-  row "  legacy per-dispatch engine : %8.3f s host time\n" legacy_seconds;
-  row "  compiled-plan engine       : %8.3f s host time\n" plan_seconds;
-  row "  v2 float-array kernels     : %8.3f s host time\n" v2_seconds;
+    (sweeps_of kernel_o) (change_of kernel_o);
+  row "compiled once, caches shared; best of %d runs per evaluator:\n" timing_reps;
+  row "  general evaluator          : %8.3f s host time\n" general_seconds;
   row "  v3 fused-kernel engine     : %8.3f s host time\n" kernel_seconds;
-  row "  plan over legacy           : %8.1fx\n" (legacy_seconds /. plan_seconds);
-  row "  v3 over plan               : %8.1fx\n" kernel_speedup;
-  row "  v3 over v2                 : %8.1fx\n" v2_speedup;
+  row "  v3 over general            : %8.1fx\n" speedup;
   row "  plan compiles / cache hits : %d / %d\n" compiles hits;
   row "  kernel compiles / hits     : %d / %d\n" kcompiles khits;
   row "  buffer pool hits / misses  : %d / %d\n" kpool_hits kpool_misses;
-  row "  four-path residual match   : clean %b, seeded faults %b\n" residual_match
+  row "  residual bit-identity      : clean %b, seeded faults %b\n" residual_match
     faulted_match;
   row "shape: three compiles serve the whole solve; the v3 stage gathers each\n";
   row "stream once, runs opcode-specialised fused loops over pooled buffers\n";
   row "and elides pass-through copies entirely\n";
-  if kernel_speedup < 10.0 then
+  if speedup < 100.0 then
     failwith
-      (Printf.sprintf "PERF: v3 kernels only %.2fx over the plan engine (need >= 10x)"
-         kernel_speedup);
-  if v2_speedup < 2.0 then
-    failwith
-      (Printf.sprintf "PERF: v3 kernels only %.2fx over the v2 backend (need >= 2x)"
-         v2_speedup);
-  engine_perf_result :=
-    Some
-      {
-        legacy_seconds;
-        plan_seconds;
-        perf_sweeps = sweeps_of plan_o;
-        perf_final_change = change_of plan_o;
-        perf_plan_compiles = compiles;
-        perf_plan_cache_hits = hits;
-      };
+      (Printf.sprintf "PERF: v3 kernels only %.2fx over the general evaluator (need >= 100x)"
+         speedup);
   kernel_perf_result :=
     Some
       {
         kernel_seconds;
-        kernel_v2_seconds = v2_seconds;
-        kernel_plan_seconds = plan_seconds;
+        general_seconds;
+        general_plan_compiles = compiles;
+        general_plan_cache_hits = hits;
         kernel_sweeps = sweeps_of kernel_o;
         kernel_final_change = change_of kernel_o;
         kernel_compiles = kcompiles;

@@ -13,7 +13,9 @@
      stats         run under the trace instrument and print its counters
      profile       run under a fresh metric context; print the hotspot profile
      inject        run clean and under a seeded fault model; print the report
-     serve         long-running simulation service over an NDJSON job protocol *)
+     serve         long-running simulation service over an NDJSON job protocol
+     chaos         seeded chaos harness against the in-process daemon
+     scale         weak-scaling run, synchronous vs overlapped halo exchange *)
 
 open Nsc_arch
 open Nsc_diagram
@@ -259,24 +261,6 @@ let fault_report () =
   if reconciled > 0 then
     Printf.printf "  (%d outstanding fault(s) reconciled as unrecovered)\n" reconciled
 
-(* -- engine selection --------------------------------------------------- *)
-
-let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [ ("kernel", `Kernel); ("kernel-v2", `Kernel_v2); ("plan", `Plan);
-        ("legacy", `Legacy) ]
-  in
-  Arg.(value & opt engine_conv `Kernel
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulator path: $(b,kernel) (specialised vector kernels \
-                 over pooled buffers, the default), $(b,kernel-v2) (the \
-                 previous float-array kernel backend), $(b,plan) (the plan \
-                 interpreter) or $(b,legacy) (the per-dispatch seed path).  \
-                 All four are bit-identical wherever the fused body applies \
-                 — the slower paths are kept for benchmarking and \
-                 differential debugging.")
-
 (* -- Domain fan-out ----------------------------------------------------- *)
 
 let domains_arg =
@@ -355,7 +339,7 @@ let run_cmd =
                    replicas across worker domains.  Replicas are checked \
                    bit-identical and replica 0 is reported.")
   in
-  let run subset path loads dumps events trace faults seed domains engine batch =
+  let run subset path loads dumps events trace faults seed domains batch =
     guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
@@ -381,8 +365,6 @@ let run_cmd =
       end
       else domains
     in
-    if batch > 1 && engine <> `Kernel then
-      print_endline "note: --batch always runs the batched kernel executor";
     let node = ref (Nsc_sim.Node.create p) in
     if batch <= 1 && domains <= 1 then apply_loads !node;
     with_trace trace (fun () ->
@@ -402,11 +384,11 @@ let run_cmd =
                    else "REPLICA MISMATCH");
                 Ok outs.(0)
           end
-          else if domains <= 1 then Nsc_sim.Sequencer.run !node ~engine c
+          else if domains <= 1 then Nsc_sim.Sequencer.run !node c
           else begin
             let n0, r =
               run_replicated p ~domains ~prepare:apply_loads
-                ~exec:(fun node -> Nsc_sim.Sequencer.run node ~engine c)
+                ~exec:(fun node -> Nsc_sim.Sequencer.run node c)
             in
             node := n0;
             r
@@ -449,7 +431,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a program on the simulated node.")
     Term.(const run $ subset_flag $ program_arg $ loads $ dumps $ events $ trace_out
-          $ faults_opt $ fault_seed_arg $ domains_arg $ engine_arg $ batch_arg)
+          $ faults_opt $ fault_seed_arg $ domains_arg $ batch_arg)
 
 (* -- render ------------------------------------------------------------- *)
 
@@ -587,7 +569,7 @@ let debug_cmd =
            ~doc:"Load floats before the run.")
   in
   let limit = Arg.(value & opt int 8 & info [ "frames" ] ~doc:"Frames to display.") in
-  let run subset path element loads limit trace engine =
+  let run subset path element loads limit trace =
     guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
@@ -603,7 +585,7 @@ let debug_cmd =
             exit 2)
       loads;
     with_trace trace (fun () ->
-        match Nsc_debug.Stepper.run node ~limit ~engine c prog with
+        match Nsc_debug.Stepper.run node ~limit c prog with
         | Error e ->
             prerr_endline ("run error: " ^ e);
             exit 1
@@ -616,8 +598,7 @@ let debug_cmd =
   in
   Cmd.v
     (Cmd.info "debug" ~doc:"Execute with tracing; print annotated pipeline diagrams.")
-    Term.(const run $ subset_flag $ program_arg $ element $ loads $ limit $ trace_out
-          $ engine_arg)
+    Term.(const run $ subset_flag $ program_arg $ element $ loads $ limit $ trace_out)
 
 (* -- stats ----------------------------------------------------------------- *)
 
@@ -711,7 +692,7 @@ let profile_cmd =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N"
            ~doc:"Rows to keep in the printed hotspot table (default 10).")
   in
-  let run subset program jacobi loads json_out folded_out top engine =
+  let run subset program jacobi loads json_out folded_out top =
     guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
@@ -732,7 +713,7 @@ let profile_cmd =
                 prerr_endline ("bad --load: " ^ s);
                 exit 2)
           loads;
-        (match Nsc_sim.Sequencer.run node ~engine ~metrics:ctx c with
+        (match Nsc_sim.Sequencer.run node ~metrics:ctx c with
         | Error e ->
             prerr_endline ("run error: " ^ e);
             exit 1
@@ -740,7 +721,7 @@ let profile_cmd =
     | None, Some n ->
         let prob = Nsc_apps.Poisson.manufactured n in
         Metrics.with_ctx ctx (fun () ->
-            match Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-6 ~max_iters:4000 with
+            match Nsc_apps.Jacobi.solve kb prob ~tol:1e-6 ~max_iters:4000 with
             | Error e ->
                 prerr_endline ("run error: " ^ e);
                 exit 1
@@ -771,7 +752,7 @@ let profile_cmd =
              with sustained MFLOPS against the paper's per-node peak, and \
              optional JSON / folded-stacks output.")
     Term.(const run $ subset_flag $ program_opt $ jacobi $ loads $ json_out
-          $ folded_out $ top $ engine_arg)
+          $ folded_out $ top)
 
 (* -- inject ----------------------------------------------------------------- *)
 
@@ -922,9 +903,10 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "degraded" ]
              ~doc:"After the retries are exhausted, make one degraded-mode \
-                   attempt — a quartered Jacobi sweep budget, or the \
-                   kernel-v2 engine for source jobs — before failing the \
-                   job permanently.")
+                   attempt before failing the job permanently: a quartered \
+                   sweep budget for a Jacobi job, one more attempt on the \
+                   kernel path for a source job (which has no \
+                   reduced-budget variant).")
   in
   let shed_at_arg =
     Arg.(value & opt int 0
@@ -934,7 +916,7 @@ let serve_cmd =
                    (code $(b,shed)) until it drains back to half that \
                    (hysteresis).  Default 0: no shedding.")
   in
-  let run subset queue cache_bound domains engine socket journal recover
+  let run subset queue cache_bound domains socket journal recover
       retries backoff_ms degraded shed_at =
     guarded @@ fun () ->
     let config =
@@ -943,7 +925,6 @@ let serve_cmd =
         domains;
         queue_bound = queue;
         cache_bound;
-        engine;
         subset;
         retries;
         backoff_ms;
@@ -974,7 +955,7 @@ let serve_cmd =
              docs/SERVICE.md; resilience (deadlines, retries, journal, \
              shedding): docs/RESILIENCE.md.")
     Term.(const run $ subset_flag $ queue_arg $ cache_bound_arg
-          $ serve_domains_arg $ engine_arg $ socket_arg $ journal_arg
+          $ serve_domains_arg $ socket_arg $ journal_arg
           $ recover_arg $ retries_arg $ backoff_ms_arg $ degraded_arg
           $ shed_at_arg)
 

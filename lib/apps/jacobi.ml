@@ -309,12 +309,8 @@ type outcome = {
   stats : Nsc_sim.Sequencer.stats;
 }
 
-(** Compile and execute the Jacobi program for [prob] on a fresh node.
-    [engine] selects the simulator path (specialised fused-kernel by
-    default; [`Kernel_v2] the previous float-array kernel, [`Plan] the
-    plan interpreter, [`Legacy] the per-dispatch seed path, all kept for
-    benchmarking — the four are bit-identical). *)
-let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
+(** Compile and execute the Jacobi program for [prob] on a fresh node. *)
+let solve (kb : Knowledge.t) ?layout ?strategy ?plan_cache
     ?kernel_cache ?budget (prob : Poisson.problem) ~tol ~max_iters :
     (outcome, string) result =
   let b = build kb ?layout ?strategy prob.Poisson.grid ~tol ~max_iters in
@@ -326,8 +322,7 @@ let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
       let node = Nsc_sim.Node.create (Knowledge.params kb) in
       load node b prob;
       match
-        Nsc_sim.Sequencer.run node ~engine ?plan_cache ?kernel_cache ?budget
-          compiled
+        Nsc_sim.Sequencer.run node ?plan_cache ?kernel_cache ?budget compiled
       with
       | Error e -> Error e
       | Ok outcome ->
@@ -368,7 +363,7 @@ let solve (kb : Knowledge.t) ?layout ?strategy ?(engine = `Kernel) ?plan_cache
     residual — so the problems may take different sweep counts.  All
     problems must share one grid shape (the program is built from
     [probs.(0)]'s grid); [outcomes.(r)] is bit-identical to [solve] of
-    [probs.(r)] with the default engine. *)
+    [probs.(r)]. *)
 let solve_batch (kb : Knowledge.t) ?layout ?(domains = 1) ?budget
     (probs : Poisson.problem array) ~tol ~max_iters :
     (outcome array, string) result =
@@ -484,8 +479,7 @@ let solve_ft (kb : Knowledge.t) ?layout ?(max_attempts = 8) ?budget
          charged cycles itself, so a cycle ceiling spans the whole solve *)
       let run_step c =
         match
-          Nsc_sim.Sequencer.run node ~engine:`Kernel ~plan_cache ~kernel_cache
-            ?budget c
+          Nsc_sim.Sequencer.run node ~plan_cache ~kernel_cache ?budget c
         with
         | Error e -> Error e
         | Ok o ->

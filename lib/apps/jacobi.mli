@@ -88,15 +88,13 @@ type outcome = {
   final_change : float;
   stats : Nsc_sim.Sequencer.stats;
 }
-(** Compile and execute the program for a problem on a fresh node.
-    [engine] selects the simulator path (fused-kernel by default;
-    [`Plan] stops at the plan interpreter, [`Legacy] is the per-dispatch
-    seed path — both kept for benchmarking, all three bit-identical). *)
+(** Compile and execute the program for a problem on a fresh node.  To
+    run the program on the reference evaluator instead, use {!build},
+    {!load} and [Nsc_sim.Sequencer.run ~engine:`General]. *)
 val solve :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->
   ?strategy:[< `Ping_pong | `Refresh > `Refresh ] ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
   ?plan_cache:Nsc_sim.Plan.cache ->
   ?kernel_cache:Nsc_sim.Kernel.cache ->
   ?budget:Nsc_guard.Guard.Budget.t ->

@@ -31,10 +31,8 @@ type run = {
 }
 
 (** Execute [compiled] with full tracing.  [limit] caps the recorded frames
-    (long convergence loops would otherwise hold thousands of traces);
-    [engine] selects the simulator path — all three are bit-identical, so
-    the annotated frames can confirm it on any suspect instruction. *)
-let run (node : Node.t) ?(limit = 256) ?(engine = `Kernel)
+    (long convergence loops would otherwise hold thousands of traces). *)
+let run (node : Node.t) ?(limit = 256)
     (compiled : Nsc_microcode.Codegen.compiled) (program : Program.t) :
     (run, string) result =
   let frames = ref [] in
@@ -59,7 +57,7 @@ let run (node : Node.t) ?(limit = 256) ?(engine = `Kernel)
       incr count
     end
   in
-  match Sequencer.run node ~record_trace:true ~engine ~on_instruction compiled with
+  match Sequencer.run node ~record_trace:true ~on_instruction compiled with
   | Error e -> Error e
   | Ok outcome -> Ok { frames = List.rev !frames; outcome; program }
 

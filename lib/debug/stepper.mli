@@ -27,12 +27,10 @@ type run = {
   program : Nsc_diagram.Program.t;
 }
 
-(** Execute with full tracing; [limit] caps recorded frames and [engine]
-    selects the simulator path (all three are bit-identical). *)
+(** Execute with full tracing; [limit] caps recorded frames. *)
 val run :
   Nsc_sim.Node.t ->
   ?limit:int ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
   Nsc_microcode.Codegen.compiled ->
   Nsc_diagram.Program.t -> (run, string) result
 val frame : run -> ordinal:int -> frame option

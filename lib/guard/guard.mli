@@ -72,8 +72,9 @@ end
     Escalation policy for failed or deadline-killed jobs: up to
     [max_retries] identical re-runs with exponential backoff and
     seed-deterministic jitter, then (when [degraded] is set) one
-    degraded-mode attempt — reduced iteration budget or the [kernel-v2]
-    engine — and finally a typed permanent failure.  The ladder itself
+    degraded-mode attempt — a reduced iteration budget, or one more
+    attempt for a job with no reduced variant — and finally a typed
+    permanent failure.  The ladder itself
     is host-policy glue; [Nsc_serve] wires it around job dispatch. *)
 module Retry : sig
   type policy = {

@@ -5,21 +5,6 @@
 module Json = Nsc_metrics.Json
 module Fault = Nsc_fault.Fault
 
-type engine = [ `Kernel | `Kernel_v2 | `Plan | `Legacy ]
-
-let engine_of_string = function
-  | "kernel" -> Some `Kernel
-  | "kernel-v2" -> Some `Kernel_v2
-  | "plan" -> Some `Plan
-  | "legacy" -> Some `Legacy
-  | _ -> None
-
-let engine_to_string = function
-  | `Kernel -> "kernel"
-  | `Kernel_v2 -> "kernel-v2"
-  | `Plan -> "plan"
-  | `Legacy -> "legacy"
-
 type workload =
   | Jacobi of { n : int; tol : float; max_iters : int }
   | Source of { text : string }
@@ -40,7 +25,6 @@ let priority_to_string = function
 type job = {
   id : string;
   workload : workload;
-  engine : engine option;
   faults : string option;
   fault_seed : int;
   deadline_ms : float option;
@@ -127,14 +111,6 @@ let parse_submit obj =
     | None -> bad "bad-request" "submit needs a client-supplied \"id\""
   in
   let workload = parse_workload ~rid obj in
-  let engine =
-    match str_field ~rid obj "engine" with
-    | None -> None
-    | Some s -> (
-        match engine_of_string s with
-        | Some e -> Some e
-        | None -> bad ~rid "bad-request" (Printf.sprintf "unknown engine %S" s))
-  in
   let faults =
     match str_field ~rid obj "faults" with
     | None -> None
@@ -172,7 +148,6 @@ let parse_submit obj =
     {
       id = rid;
       workload;
-      engine;
       faults;
       fault_seed;
       deadline_ms;

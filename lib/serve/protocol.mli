@@ -7,14 +7,6 @@
     missing or out-of-range field is a [bad-request] error, and neither
     ever raises. *)
 
-(** Simulator path a job runs on (the CLI's [--engine] values). *)
-type engine = [ `Kernel | `Kernel_v2 | `Plan | `Legacy ]
-
-val engine_of_string : string -> engine option
-(** ["kernel"], ["kernel-v2"], ["plan"] or ["legacy"]. *)
-
-val engine_to_string : engine -> string
-
 (** What a job executes. *)
 type workload =
   | Jacobi of { n : int; tol : float; max_iters : int }
@@ -38,7 +30,6 @@ val priority_to_string : priority -> string
 type job = {
   id : string;                (** client-supplied, echoed on the response *)
   workload : workload;
-  engine : engine option;     (** [None]: the server's default engine *)
   faults : string option;     (** fault spec ([docs/FAULTS.md] grammar) *)
   fault_seed : int;           (** seed of the deterministic schedule *)
   deadline_ms : float option;

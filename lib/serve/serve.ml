@@ -20,7 +20,6 @@ type config = {
   domains : int;
   queue_bound : int;
   cache_bound : int;
-  engine : Protocol.engine;
   subset : bool;
   retries : int;
   backoff_ms : float;
@@ -36,7 +35,6 @@ let default_config =
     domains = 1;
     queue_bound = 64;
     cache_bound = 0;
-    engine = `Kernel;
     subset = false;
     retries = 0;
     backoff_ms = 0.0;
@@ -135,7 +133,7 @@ let counters_json jctx =
   let snap = Metrics.snapshot jctx in
   Json.Obj (List.map (fun (n, v) -> (n, num v)) snap.Metrics.snap_counters)
 
-let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
+let exec_workload t ~degraded ?budget (job : Protocol.job) :
     ((string * Json.t) list, string) result =
   match job.Protocol.workload with
   | Protocol.Jacobi { n; tol; max_iters } -> (
@@ -145,7 +143,7 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
          return a partial (higher-residual) answer *)
       let max_iters = if degraded then max 1 (max_iters / 4) else max_iters in
       match
-        Nsc_apps.Jacobi.solve t.kb ~engine ~plan_cache:t.plan_cache
+        Nsc_apps.Jacobi.solve t.kb ~plan_cache:t.plan_cache
           ~kernel_cache:t.kernel_cache ?budget prob ~tol ~max_iters
       with
       | Error e -> Error e
@@ -161,9 +159,8 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
               ("flops", num st.Nsc_sim.Sequencer.total_flops);
             ])
   | Protocol.Source { text } -> (
-      (* degraded escalation for source jobs: the v2 kernel backend —
-         bit-identical results on a slower, simpler path *)
-      let engine = if degraded then `Kernel_v2 else engine in
+      (* a source program has no reduced-budget variant: its degraded
+         rung is one more attempt on the same kernel path *)
       match Nsc_lang.Compile.compile t.kb ~name:job.Protocol.id text with
       | Error e ->
           let where =
@@ -182,7 +179,7 @@ let exec_workload t ~engine ~degraded ?budget (job : Protocol.job) :
           | Ok compiled -> (
               let node = Nsc_sim.Node.create (Knowledge.params t.kb) in
               match
-                Nsc_sim.Sequencer.run node ~engine ~plan_cache:t.plan_cache
+                Nsc_sim.Sequencer.run node ~plan_cache:t.plan_cache
                   ~kernel_cache:t.kernel_cache ?budget compiled
               with
               | Error e -> Error e
@@ -215,7 +212,6 @@ type attempt_result =
    draw stream are process-global. *)
 let run_job t (p : pending) : string =
   let job = p.job in
-  let engine = Option.value ~default:t.cfg.engine job.Protocol.engine in
   let jctx = Metrics.create ~label:job.Protocol.id () in
   Metrics.enable jctx;
   let fault_fields = ref [] in
@@ -232,7 +228,7 @@ let run_job t (p : pending) : string =
       try
         match
           Metrics.with_ctx jctx (fun () ->
-              exec_workload t ~engine ~degraded ?budget job)
+              exec_workload t ~degraded ?budget job)
         with
         | Ok fields -> A_ok fields
         | Error e -> A_failed e

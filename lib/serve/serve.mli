@@ -26,7 +26,6 @@ type config = {
   domains : int;      (** worker domains per wave (default 1: sequential) *)
   queue_bound : int;  (** admission-queue capacity (default 64) *)
   cache_bound : int;  (** plan/kernel cache bound; 0 = unbounded (default) *)
-  engine : Protocol.engine;  (** default engine for jobs that name none *)
   subset : bool;      (** use the restricted machine model *)
   retries : int;
       (** identical re-runs of a failed/deadline-killed job (default 0:
@@ -36,8 +35,9 @@ type config = {
           seed-deterministic jitter (default 0: no sleep) *)
   degraded : bool;
       (** escalate an exhausted ladder to one degraded-mode attempt —
-          quartered Jacobi sweep budget, or the [kernel-v2] engine for
-          source jobs — before failing permanently (default false) *)
+          a quartered Jacobi sweep budget; a source job, which has no
+          reduced-budget variant, gets one more attempt on the kernel
+          path — before failing permanently (default false) *)
   journal : string option;
       (** write-ahead journal path; every admission is journalled (and
           flushed) before it is acknowledged, so {!recover} can replay

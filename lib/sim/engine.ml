@@ -178,18 +178,17 @@ let fault_stream_cycles (sem : Semantic.t) =
 
 (* The general evaluator: memoized recursion over (unit, element).  Handles
    arbitrary element skew (misaligned streams), guarded switch cycles, and
-   shift/delay units fed by computed streams.  The fast path below covers
-   the common case — aligned, acyclic pipelines — an order of magnitude
-   quicker; [run] picks automatically and both must agree wherever the fast
-   path applies (property-tested). *)
+   shift/delay units fed by computed streams.  It is the reference the
+   fused-kernel path below is checked against (property-tested bit for
+   bit), and the fallback for instructions the kernel cannot fuse. *)
 let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
     ?analysis (sem : Semantic.t) : result =
   let p = node.Node.params in
   let vlen = sem.Semantic.vector_length in
   (* --- static tables ------------------------------------------------- *)
   let unit_of = Hashtbl.create 16 in
-  List.iter
-    (fun (u : Semantic.unit_program) -> Hashtbl.replace unit_of u.Semantic.fu u)
+  List.iteri
+    (fun i (u : Semantic.unit_program) -> Hashtbl.replace unit_of u.Semantic.fu (i, u))
     sem.Semantic.units;
   let route_into = Hashtbl.create 16 in
   List.iter
@@ -218,7 +217,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
       (fun (ut : Timing.unit_timing) ->
         match Hashtbl.find_opt unit_of ut.Timing.fu with
         | None -> ()
-        | Some u -> (
+        | Some (_, u) -> (
             match (ut.Timing.arrival_a, ut.Timing.arrival_b) with
             | Some ta, Some tb when Opcode.arity u.Semantic.op = 2 ->
                 let ea = ta + u.Semantic.delay_a and eb = tb + u.Semantic.delay_b in
@@ -236,6 +235,10 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
       incr n_events
     end
   in
+  (* traps as (element, unit position in [sem.units], event): recursion
+     discovers them in memo order, so they are replayed sorted —
+     element-major, units in programme order — as the kernel does *)
+  let traps = ref [] in
   (* --- per-element evaluation ---------------------------------------- *)
   let memo : (Resource.fu_id * int, float) Hashtbl.t = Hashtbl.create 1024 in
   let in_progress : (Resource.fu_id * int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -303,7 +306,7 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
             let v =
               match Hashtbl.find_opt unit_of fu with
               | None -> 0.0 (* unprogrammed unit routes zeros *)
-              | Some u ->
+              | Some (i, u) ->
                   let a = port_value u Resource.A e in
                   let b =
                     if Opcode.arity u.Semantic.op = 2 then port_value u Resource.B e
@@ -312,9 +315,12 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
                   let v = Fu_exec.apply u.Semantic.op a b in
                   (match Fu_exec.trapped u.Semantic.op a b v with
                   | Some kind ->
-                      record
-                        (Interrupt.Exception_trapped
-                           { instruction = sem.Semantic.index; unit_ = fu; kind; element = e })
+                      traps :=
+                        ( e,
+                          i,
+                          Interrupt.Exception_trapped
+                            { instruction = sem.Semantic.index; unit_ = fu; kind; element = e } )
+                        :: !traps
                   | None -> ());
                   v
             in
@@ -323,27 +329,37 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
             v
           end
   in
+  (* --- force full evaluation: every engaged unit processes every
+         element, exactly as the hardware's clocked pipeline does.  Every
+         operand read happens here, before any write, as in the fused
+         kernel. *)
+  List.iter
+    (fun (u : Semantic.unit_program) ->
+      for e = 0 to vlen - 1 do
+        ignore (unit_out u.Semantic.fu e)
+      done)
+    sem.Semantic.units;
+  List.iter
+    (fun (_, _, ev) -> record ev)
+    (List.sort (fun (e, i, _) (e', i', _) -> compare (e, i) (e', i')) !traps);
   (* --- fault injection: corrupt one output latch ---------------------- *)
-  (* Pre-seeding the memo makes everything fed from the victim unit see
-     the corrupted element — the general evaluator models full
-     propagation through the datapath. *)
+  (* The NaN lands after the datapath has computed: units fed from the
+     victim saw its true value, while its write sinks, captured scalar and
+     trace see the corruption — the kernel's latch model. *)
   (match fault_fu_draw sem with
   | None -> ()
-  | Some (k, e) -> (
-      match List.nth_opt sem.Semantic.units k with
-      | None -> ()
-      | Some u ->
-          let fu = u.Semantic.fu in
-          Hashtbl.replace memo (fu, e) Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1));
+  | Some (k, e) ->
+      let fu = (List.nth sem.Semantic.units k).Semantic.fu in
+      Hashtbl.replace memo (fu, e) Float.nan;
+      record
+        (Interrupt.Exception_trapped
+           {
+             instruction = sem.Semantic.index;
+             unit_ = fu;
+             kind = Interrupt.Invalid_operand;
+             element = e;
+           });
+      Fault.note_fu_detected 1);
   (* --- drive the pipeline: writes ------------------------------------ *)
   let writes = ref 0 in
   List.iter
@@ -362,14 +378,6 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
             incr writes
           done)
     (Semantic.write_streams sem);
-  (* --- force full evaluation: every engaged unit processes every
-         element, exactly as the hardware's clocked pipeline does -------- *)
-  List.iter
-    (fun (u : Semantic.unit_program) ->
-      for e = 0 to vlen - 1 do
-        ignore (unit_out u.Semantic.fu e)
-      done)
-    sem.Semantic.units;
   let last_values =
     List.map
       (fun (u : Semantic.unit_program) -> (u.Semantic.fu, unit_out u.Semantic.fu (vlen - 1)))
@@ -392,762 +400,13 @@ let run_general (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
   note_run ~kind:"general" sem r;
   r
 
-(* --- the fast path ---------------------------------------------------- *)
-
-(* Dense per-unit output arrays, filled element-major in topological order.
-   Preconditions (checked by [run]): no operand skew, no switch cycles, and
-   every shift/delay unit fed by a DMA stream. *)
-let run_fast (node : Node.t) ~record_trace (sem : Semantic.t) : result =
-  let p = node.Node.params in
-  let vlen = sem.Semantic.vector_length in
-  let units = Array.of_list sem.Semantic.units in
-  let n_units = Array.length units in
-  let index_of : (Resource.fu_id, int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri (fun k (u : Semantic.unit_program) -> Hashtbl.replace index_of u.Semantic.fu k) units;
-  let route_into = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Switch.route) -> Hashtbl.replace route_into r.Switch.snk r.Switch.src)
-    sem.Semantic.routes;
-  let read_transfer : (Resource.source, Dma.transfer) Hashtbl.t = Hashtbl.create 8 in
-  let read_streams = Semantic.read_streams sem in
-  List.iter (fun (src, t) -> Hashtbl.replace read_transfer src t) read_streams;
-  note_read_streams ~vlen read_streams;
-  let sd_of = Hashtbl.create 4 in
-  List.iter
-    (fun (s : Semantic.sd_program) -> Hashtbl.replace sd_of s.Semantic.sd s.Semantic.mode)
-    sem.Semantic.sds;
-  let bypass_of als =
-    Option.value ~default:Als.No_bypass (List.assoc_opt als sem.Semantic.bypasses)
-  in
-  let stream_read src e =
-    match Hashtbl.find_opt read_transfer src with
-    | None -> 0.0
-    | Some t ->
-        let count = if t.Dma.count = 0 then vlen else t.Dma.count in
-        if e < 0 || e >= count then 0.0
-        else begin
-          let addr = t.Dma.base + (e * t.Dma.stride) in
-          match t.Dma.channel with
-          | Dma.Plane pl -> Node.read_plane node ~plane:pl ~addr
-          | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-        end
-  in
-  (* unit-level dependencies (same-element): chain predecessor and switch
-     sources that are functional units *)
-  let deps k =
-    let u = units.(k) in
-    let fu = u.Semantic.fu in
-    let of_binding port = function
-      | Fu_config.From_chain -> (
-          let size = Resource.als_size p fu.Resource.als in
-          match
-            Als.chain_predecessor ~size (bypass_of fu.Resource.als) ~slot:fu.Resource.slot
-          with
-          | Some pred ->
-              Option.to_list
-                (Hashtbl.find_opt index_of { Resource.als = fu.Resource.als; slot = pred })
-          | None -> [])
-      | Fu_config.From_switch -> (
-          match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
-          | Some (Resource.Src_fu f) -> Option.to_list (Hashtbl.find_opt index_of f)
-          | _ -> [])
-      | Fu_config.From_constant _ | Fu_config.From_feedback _ | Fu_config.Unbound -> []
-    in
-    of_binding Resource.A u.Semantic.a
-    @ (if Opcode.arity u.Semantic.op = 2 then of_binding Resource.B u.Semantic.b else [])
-  in
-  (* topological order (deps are acyclic by precondition) *)
-  let order = Array.make n_units 0 in
-  let mark = Array.make n_units 0 in
-  let pos = ref 0 in
-  let rec visit k =
-    if mark.(k) = 0 then begin
-      mark.(k) <- 1;
-      List.iter visit (deps k);
-      order.(!pos) <- k;
-      incr pos
-    end
-  in
-  for k = 0 to n_units - 1 do
-    visit k
-  done;
-  let out = Array.init n_units (fun _ -> Array.make (max vlen 1) 0.0) in
-  let events = ref [] and n_events = ref 0 in
-  let record ev =
-    if !n_events < max_recorded_events then begin
-      events := ev :: !events;
-      incr n_events
-    end
-  in
-  let source_value src e =
-    match src with
-    | Resource.Src_memory _ | Resource.Src_cache _ -> stream_read src e
-    | Resource.Src_shift_delay sd -> (
-        let input e' =
-          if e' < 0 || e' >= vlen then 0.0
-          else
-            match Hashtbl.find_opt route_into (Resource.Snk_shift_delay sd) with
-            | Some src' -> stream_read src' e' (* DMA-fed by precondition *)
-            | None -> 0.0
-        in
-        match Hashtbl.find_opt sd_of sd with
-        | Some (Shift_delay.Delay d) -> input (e - d)
-        | Some (Shift_delay.Shift o) -> input (e + o)
-        | None -> input e)
-    | Resource.Src_fu f -> (
-        match Hashtbl.find_opt index_of f with
-        | Some k -> out.(k).(e)
-        | None -> 0.0)
-  in
-  for e = 0 to vlen - 1 do
-    Array.iter
-      (fun k ->
-        let u = units.(k) in
-        let fu = u.Semantic.fu in
-        let port_value port binding =
-          match binding with
-          | Fu_config.Unbound -> 0.0
-          | Fu_config.From_constant c -> c
-          | Fu_config.From_feedback n -> if e - n >= 0 && n >= 1 then out.(k).(e - n) else 0.0
-          | Fu_config.From_chain -> (
-              let size = Resource.als_size p fu.Resource.als in
-              match
-                Als.chain_predecessor ~size (bypass_of fu.Resource.als)
-                  ~slot:fu.Resource.slot
-              with
-              | Some pred -> (
-                  match
-                    Hashtbl.find_opt index_of { Resource.als = fu.Resource.als; slot = pred }
-                  with
-                  | Some pk -> out.(pk).(e)
-                  | None -> 0.0)
-              | None -> 0.0)
-          | Fu_config.From_switch -> (
-              match Hashtbl.find_opt route_into (Resource.Snk_fu (fu, port)) with
-              | Some src -> source_value src e
-              | None -> 0.0)
-        in
-        let a = port_value Resource.A u.Semantic.a in
-        let b =
-          if Opcode.arity u.Semantic.op = 2 then port_value Resource.B u.Semantic.b
-          else 0.0
-        in
-        let v = Fu_exec.apply u.Semantic.op a b in
-        (match Fu_exec.trapped u.Semantic.op a b v with
-        | Some kind ->
-            record
-              (Interrupt.Exception_trapped
-                 { instruction = sem.Semantic.index; unit_ = fu; kind; element = e })
-        | None -> ());
-        out.(k).(e) <- v)
-      order
-  done;
-  (* fault injection: corrupt one output latch (post-compute — the dense
-     paths model the fault at the latch, so the writes drain the NaN but
-     same-instruction consumers have already latched clean values) *)
-  (match fault_fu_draw sem with
-  | None -> ()
-  | Some (k, e) ->
-      out.(k).(e) <- Float.nan;
-      record
-        (Interrupt.Exception_trapped
-           {
-             instruction = sem.Semantic.index;
-             unit_ = units.(k).Semantic.fu;
-             kind = Interrupt.Invalid_operand;
-             element = e;
-           });
-      Fault.note_fu_detected 1);
-  (* writes *)
-  let writes = ref 0 in
-  List.iter
-    (fun (snk, (t : Dma.transfer)) ->
-      match Hashtbl.find_opt route_into snk with
-      | None -> ()
-      | Some src ->
-          let count = if t.Dma.count = 0 then vlen else t.Dma.count in
-          Dma.note_write ~words:count;
-          for e = 0 to count - 1 do
-            let v = if e < vlen then source_value src e else 0.0 in
-            let addr = t.Dma.base + (e * t.Dma.stride) in
-            (match t.Dma.channel with
-            | Dma.Plane pl -> Node.write_plane node ~plane:pl ~addr v
-            | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v);
-            incr writes
-          done)
-    (Semantic.write_streams sem);
-  let last_values =
-    Array.to_list
-      (Array.mapi
-         (fun k (u : Semantic.unit_program) ->
-           (u.Semantic.fu, if vlen > 0 then out.(k).(vlen - 1) else 0.0))
-         units)
-  in
-  let analysis = Timing.analyse p sem in
-  let cycles = Timing.estimated_cycles p sem analysis ~vlen + fault_stream_cycles sem in
-  record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-  let trace =
-    if record_trace then begin
-      let unit_values = Hashtbl.create (n_units * vlen) in
-      Array.iteri
-        (fun k (u : Semantic.unit_program) ->
-          for e = 0 to vlen - 1 do
-            Hashtbl.replace unit_values (u.Semantic.fu, e) out.(k).(e)
-          done)
-        units;
-      Some { unit_values; vlen }
-    end
-    else None
-  in
-  let r =
-    {
-      cycles;
-      flops = Semantic.flops_per_element sem * vlen;
-      elements = vlen;
-      writes = !writes;
-      events = List.rev !events;
-      last_values;
-      trace;
-    }
-  in
-  note_run ~kind:"fast" sem r;
-  r
-
-(* Does the fast path apply?  All operand streams aligned (or timing not
-   honoured), no combinational cycles, every shift/delay unit DMA-fed. *)
-let fast_path_applies (p : Params.t) ~honor_timing (sem : Semantic.t) =
-  let analysis = Timing.analyse p sem in
-  let aligned =
-    (not honor_timing)
-    || List.for_all
-         (fun (ut : Timing.unit_timing) -> ut.Timing.misaligned = None)
-         analysis.Timing.units
-  in
-  let sd_pure =
-    List.for_all
-      (fun (s : Semantic.sd_program) ->
-        match Semantic.source_feeding sem (Resource.Snk_shift_delay s.Semantic.sd) with
-        | None | Some (Resource.Src_memory _ | Resource.Src_cache _) -> true
-        | Some (Resource.Src_fu _ | Resource.Src_shift_delay _) -> false)
-      sem.Semantic.sds
-  in
-  aligned && analysis.Timing.cyclic = [] && sd_pure
-
-(** The seed dispatch, preserved verbatim for benchmarking against the
-    plan-based path: analyses timing on dispatch (and again inside the
-    evaluator) and rebuilds every lookup table per call. *)
-let run_legacy (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?(force_general = false) (sem : Semantic.t) : result =
-  if (not force_general) && fast_path_applies node.Node.params ~honor_timing sem then
-    run_fast node ~record_trace sem
-  else run_general node ~record_trace ~honor_timing sem
-
-(* --- the plan executor ------------------------------------------------- *)
-
-(** Execute a compiled {!Plan.t}.  The dense body prefetches every read
-    stream with one bulk strided transfer, then runs a pure array-indexing
-    inner loop — no hashtable lookups, no timing re-analysis (the plan
-    carries its analysis and cycle estimate).  Plans without a dense body
-    fall back to the general evaluator, reusing the cached analysis. *)
-let run_plan (node : Node.t) ?(record_trace = false) (pl : Plan.t) : result =
-  match pl.Plan.fast with
-  | None ->
-      run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
-  | Some f ->
-      let vlen = pl.Plan.vlen in
-      let sem = pl.Plan.sem in
-      let units = f.Plan.units in
-      let n_units = Array.length units in
-      (* prefetch read streams into dense element-indexed buffers;
-         elements beyond the stream's count read as 0.0, as on the wire *)
-      let rbuf =
-        Array.map
-          (fun (r : Plan.read_stream) ->
-            let t = r.Plan.transfer in
-            let n = min r.Plan.count vlen in
-            let buf = Array.make (max vlen 1) 0.0 in
-            if n > 0 then begin
-              let data =
-                match t.Dma.channel with
-                | Dma.Plane plid ->
-                    Memory.read_strided (Node.plane node plid) ~base:t.Dma.base
-                      ~stride:t.Dma.stride ~count:n
-                | Dma.Cache_chan c ->
-                    Cache.read_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-                      ~stride:t.Dma.stride ~count:n
-              in
-              Array.blit data 0 buf 0 n;
-              Dma.note_read ~words:n
-            end;
-            buf)
-          f.Plan.reads
-      in
-      let out = Array.init n_units (fun _ -> Array.make (max vlen 1) 0.0) in
-      let events = ref [] and n_events = ref 0 in
-      let record ev =
-        if !n_events < max_recorded_events then begin
-          events := ev :: !events;
-          incr n_events
-        end
-      in
-      for e = 0 to vlen - 1 do
-        for k = 0 to n_units - 1 do
-          let u = units.(k) in
-          let operand = function
-            | Plan.Zero -> 0.0
-            | Plan.Const c -> c
-            | Plan.Unit j -> out.(j).(e)
-            | Plan.Self n -> if e >= n then out.(k).(e - n) else 0.0
-            | Plan.Stream s -> rbuf.(s).(e)
-            | Plan.Stream_at (s, off) ->
-                let e' = e + off in
-                if e' >= 0 && e' < vlen then rbuf.(s).(e') else 0.0
-          in
-          let a = operand u.Plan.a in
-          let b = if u.Plan.binary then operand u.Plan.b else 0.0 in
-          let v = Fu_exec.apply u.Plan.op a b in
-          (match Fu_exec.trapped u.Plan.op a b v with
-          | Some kind ->
-              record
-                (Interrupt.Exception_trapped
-                   { instruction = sem.Semantic.index; unit_ = u.Plan.fu; kind; element = e })
-          | None -> ());
-          out.(k).(e) <- v
-        done
-      done;
-      (* fault injection: corrupt one output latch (latch model, as in the
-         fast path; the draw indexes programme order, mapped through the
-         plan's topological permutation) *)
-      (match fault_fu_draw sem with
-      | None -> ()
-      | Some (i, e) ->
-          let k = f.Plan.order_of_sem.(i) in
-          out.(k).(e) <- Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = units.(k).Plan.fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1);
-      (* writes, stream-major in programme order; unit-fed streams drain in
-         one bulk transfer, direct memory-to-memory routes re-read live *)
-      let write_bulk (t : Dma.transfer) (vals : float array) =
-        match t.Dma.channel with
-        | Dma.Plane plid ->
-            Memory.write_strided (Node.plane node plid) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-        | Dma.Cache_chan c ->
-            Cache.write_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-      in
-      let writes = ref 0 in
-      Array.iter
-        (fun (w : Plan.write_stream) ->
-          let t = w.Plan.transfer in
-          let count = w.Plan.count in
-          if count > 0 then begin
-            Dma.note_write ~words:count;
-            (match w.Plan.wsrc with
-            | Plan.W_unit k ->
-                let vals = Array.make count 0.0 in
-                Array.blit out.(k) 0 vals 0 (min count vlen);
-                write_bulk t vals
-            | Plan.W_zero -> write_bulk t (Array.make count 0.0)
-            | Plan.W_live { transfer = rt; count = rcount; offset } ->
-                for e = 0 to count - 1 do
-                  let v =
-                    if e >= vlen then 0.0
-                    else
-                      let e' = e + offset in
-                      if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                      else begin
-                        let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                        match rt.Dma.channel with
-                        | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                        | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-                      end
-                  in
-                  let addr = t.Dma.base + (e * t.Dma.stride) in
-                  match t.Dma.channel with
-                  | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-                  | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-                done);
-            writes := !writes + count
-          end)
-        f.Plan.writes;
-      let last_values =
-        List.mapi
-          (fun i (u : Semantic.unit_program) ->
-            let k = f.Plan.order_of_sem.(i) in
-            (u.Semantic.fu, if vlen > 0 then out.(k).(vlen - 1) else 0.0))
-          sem.Semantic.units
-      in
-      let cycles = pl.Plan.cycles + fault_stream_cycles sem in
-      record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-      let trace =
-        if record_trace then begin
-          let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
-          List.iteri
-            (fun i (u : Semantic.unit_program) ->
-              let k = f.Plan.order_of_sem.(i) in
-              for e = 0 to vlen - 1 do
-                Hashtbl.replace unit_values (u.Semantic.fu, e) out.(k).(e)
-              done)
-            sem.Semantic.units;
-          Some { unit_values; vlen }
-        end
-        else None
-      in
-      let r =
-        {
-          cycles;
-          flops = pl.Plan.flops;
-          elements = vlen;
-          writes = !writes;
-          events = List.rev !events;
-          last_values;
-          trace;
-        }
-      in
-      note_run ~kind:"plan" sem r;
-      r
-
-(* --- the kernel executor ------------------------------------------------ *)
-
-(* One fused block: the opcode is resolved to a direct float operation
-   exactly once, then applied over [e0, e1) with pure array indexing.
-   The unsafe accesses are justified by the kernel's buffer invariant:
-   every buffer is [blen = pad + max vlen 1 + pad] long with
-   [pad >= |off|] for every operand offset, so [base + e] with
-   [base = pad + off] and [e < vlen] is always in bounds. *)
-let[@inline] exec_block (op : Opcode.t) (dst : float array) (a : float array)
-    (b : float array) ~di ~ai ~bi ~e0 ~e1 =
-  let open Array in
-  let i64 x = Int64.of_float x and f64 i = Int64.to_float i in
-  match op with
-  | Opcode.Pass ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e))
-      done
-  | Opcode.Fadd ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) +. unsafe_get b (bi + e))
-      done
-  | Opcode.Fsub ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) -. unsafe_get b (bi + e))
-      done
-  | Opcode.Fmul ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) *. unsafe_get b (bi + e))
-      done
-  | Opcode.Fdiv ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (unsafe_get a (ai + e) /. unsafe_get b (bi + e))
-      done
-  | Opcode.Fneg ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (-.unsafe_get a (ai + e))
-      done
-  | Opcode.Fabs ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.abs (unsafe_get a (ai + e)))
-      done
-  | Opcode.Fcmp Opcode.Lt ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) < unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Le ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) <= unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Eq ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) = unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Ne ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) <> unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Ge ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) >= unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Fcmp Opcode.Gt ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (if unsafe_get a (ai + e) > unsafe_get b (bi + e) then 1.0 else 0.0)
-      done
-  | Opcode.Iadd ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.add (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Isub ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.sub (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Imul ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.mul (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Iand ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logand (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ior ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logor (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ixor ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64 (Int64.logxor (i64 (unsafe_get a (ai + e))) (i64 (unsafe_get b (bi + e)))))
-      done
-  | Opcode.Ishl ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64
-             (Int64.shift_left
-                (i64 (unsafe_get a (ai + e)))
-                (Int64.to_int (i64 (unsafe_get b (bi + e))) land 63)))
-      done
-  | Opcode.Ishr ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e)
-          (f64
-             (Int64.shift_right
-                (i64 (unsafe_get a (ai + e)))
-                (Int64.to_int (i64 (unsafe_get b (bi + e))) land 63)))
-      done
-  | Opcode.Max ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.max (unsafe_get a (ai + e)) (unsafe_get b (bi + e)))
-      done
-  | Opcode.Min ->
-      for e = e0 to e1 - 1 do
-        unsafe_set dst (di + e) (Float.min (unsafe_get a (ai + e)) (unsafe_get b (bi + e)))
-      done
-
 (* Block size of the fused element loops: big enough to amortise the
    per-unit loop-entry cost (and to run typical grid planes in a single
    block), small enough that a block of every engaged buffer stays
    cache-resident — ~20 live buffers at 8 KB each sit comfortably in L2. *)
 let kernel_block = 1024
 
-(** Execute a compiled {!Kernel.t} the v2 way: fresh [float array]
-    buffers per execution, one opcode dispatch per unit per 256-element
-    block ({!exec_block}), and a separate non-finite scan pass.  Kept —
-    like {!run_legacy} — as the measured baseline for the bench
-    regression gate, which asserts {!run_kernel} at ≥2x over this path
-    on the n=9 Jacobi solve.  Bit-identical to {!run_kernel} and
-    {!run_plan}. *)
-let run_kernel_v2 (node : Node.t) ?(record_trace = false) (kn : Kernel.t) : result =
-  let pl = kn.Kernel.plan in
-  match kn.Kernel.body with
-  | None ->
-      run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
-  | Some b ->
-      let sem = pl.Plan.sem in
-      let vlen = b.Kernel.vlen in
-      let pad = b.Kernel.pad in
-      let blen = b.Kernel.blen in
-      let units = b.Kernel.units in
-      let n_units = Array.length units in
-      let unit_base = b.Kernel.unit_base in
-      (* buffer pool: the read-only static prefix is shared; stream and
-         output buffers are fresh per execution (memory changes between
-         sweeps, and a cached kernel may run on several domains) *)
-      let bufs = Array.make (max b.Kernel.n_buffers 1) [||] in
-      Array.iteri (fun i buf -> bufs.(i) <- buf) b.Kernel.static_v2;
-      Array.iteri
-        (fun s (r : Plan.read_stream) ->
-          let t = r.Plan.transfer in
-          let n = min r.Plan.count vlen in
-          let buf = Array.make blen 0.0 in
-          if n > 0 then begin
-            let data =
-              match t.Dma.channel with
-              | Dma.Plane plid ->
-                  Memory.read_strided (Node.plane node plid) ~base:t.Dma.base
-                    ~stride:t.Dma.stride ~count:n
-              | Dma.Cache_chan c ->
-                  Cache.read_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-                    ~stride:t.Dma.stride ~count:n
-            in
-            Array.blit data 0 buf pad n;
-            Dma.note_read ~words:n
-          end;
-          bufs.(b.Kernel.stream_base + s) <- buf)
-        b.Kernel.reads;
-      for k = 0 to n_units - 1 do
-        bufs.(unit_base + k) <- Array.make blen 0.0
-      done;
-      (* blocked, unit-major compute: within a block every unit's inputs
-         are already final (same-element deps are earlier in topological
-         order; feedback deps are the unit's own output >= 1 element
-         back), so unit-major blocks equal the plan's element-major loop *)
-      let any_nonfinite = ref false in
-      let e0 = ref 0 in
-      while !e0 < vlen do
-        let e1 = min vlen (!e0 + kernel_block) in
-        for k = 0 to n_units - 1 do
-          let u = units.(k) in
-          let dst = bufs.(u.Kernel.out) in
-          exec_block u.Kernel.op dst bufs.(u.Kernel.a_buf) bufs.(u.Kernel.b_buf)
-            ~di:pad ~ai:(pad + u.Kernel.a_off) ~bi:(pad + u.Kernel.b_off) ~e0:!e0
-            ~e1;
-          (* cache-hot trap scan: a computation traps exactly when its
-             result is non-finite (divide-by-zero yields an infinity or
-             NaN; integer and compare units always produce finite
-             values), so the per-element classification of the
-             interpreted paths reduces to this branch-predictable test *)
-          for e = !e0 to e1 - 1 do
-            let v = Array.unsafe_get dst (pad + e) in
-            if v -. v <> 0.0 then any_nonfinite := true
-          done
-        done;
-        e0 := e1
-      done;
-      let events = ref [] and n_events = ref 0 in
-      let record ev =
-        if !n_events < max_recorded_events then begin
-          events := ev :: !events;
-          incr n_events
-        end
-      in
-      (* trap events, replayed in the interpreters' element-major order *)
-      if !any_nonfinite then
-        for e = 0 to vlen - 1 do
-          for k = 0 to n_units - 1 do
-            let u = units.(k) in
-            let v = bufs.(u.Kernel.out).(pad + e) in
-            if v -. v <> 0.0 then begin
-              let a = bufs.(u.Kernel.a_buf).(pad + u.Kernel.a_off + e) in
-              let bv = bufs.(u.Kernel.b_buf).(pad + u.Kernel.b_off + e) in
-              match Fu_exec.trapped u.Kernel.op a bv v with
-              | Some kind ->
-                  record
-                    (Interrupt.Exception_trapped
-                       { instruction = sem.Semantic.index; unit_ = u.Kernel.fu; kind; element = e })
-              | None -> ()
-            end
-          done
-        done;
-      (* fault injection: corrupt one output latch (latch model, as in
-         the plan path) *)
-      (match fault_fu_draw sem with
-      | None -> ()
-      | Some (i, e) ->
-          let k = b.Kernel.order_of_sem.(i) in
-          bufs.(unit_base + k).(pad + e) <- Float.nan;
-          record
-            (Interrupt.Exception_trapped
-               {
-                 instruction = sem.Semantic.index;
-                 unit_ = units.(k).Kernel.fu;
-                 kind = Interrupt.Invalid_operand;
-                 element = e;
-               });
-          Fault.note_fu_detected 1);
-      (* writes: one bulk strided transfer per unit-fed sink; direct
-         memory-to-memory routes re-read live, exactly as the plan path *)
-      let write_bulk (t : Dma.transfer) (vals : float array) =
-        match t.Dma.channel with
-        | Dma.Plane plid ->
-            Memory.write_strided (Node.plane node plid) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-        | Dma.Cache_chan c ->
-            Cache.write_pipeline_strided (Node.cache node c) ~base:t.Dma.base
-              ~stride:t.Dma.stride vals
-      in
-      let writes = ref 0 in
-      Array.iter
-        (fun (w : Plan.write_stream) ->
-          let t = w.Plan.transfer in
-          let count = w.Plan.count in
-          if count > 0 then begin
-            Dma.note_write ~words:count;
-            (match w.Plan.wsrc with
-            | Plan.W_unit k ->
-                let vals = Array.make count 0.0 in
-                Array.blit bufs.(unit_base + k) pad vals 0 (min count vlen);
-                write_bulk t vals
-            | Plan.W_zero -> write_bulk t (Array.make count 0.0)
-            | Plan.W_live { transfer = rt; count = rcount; offset } ->
-                for e = 0 to count - 1 do
-                  let v =
-                    if e >= vlen then 0.0
-                    else
-                      let e' = e + offset in
-                      if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                      else begin
-                        let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                        match rt.Dma.channel with
-                        | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                        | Dma.Cache_chan c -> Cache.read_pipeline (Node.cache node c) addr
-                      end
-                  in
-                  let addr = t.Dma.base + (e * t.Dma.stride) in
-                  match t.Dma.channel with
-                  | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-                  | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-                done);
-            writes := !writes + count
-          end)
-        b.Kernel.writes;
-      let last_values =
-        List.mapi
-          (fun i (u : Semantic.unit_program) ->
-            let k = b.Kernel.order_of_sem.(i) in
-            (u.Semantic.fu, if vlen > 0 then bufs.(unit_base + k).(pad + vlen - 1) else 0.0))
-          sem.Semantic.units
-      in
-      let cycles = pl.Plan.cycles + fault_stream_cycles sem in
-      record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-      let trace =
-        if record_trace then begin
-          let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
-          List.iteri
-            (fun i (u : Semantic.unit_program) ->
-              let k = b.Kernel.order_of_sem.(i) in
-              for e = 0 to vlen - 1 do
-                Hashtbl.replace unit_values (u.Semantic.fu, e) bufs.(unit_base + k).(pad + e)
-              done)
-            sem.Semantic.units;
-          Some { unit_values; vlen }
-        end
-        else None
-      in
-      let r =
-        {
-          cycles;
-          flops = pl.Plan.flops;
-          elements = vlen;
-          writes = !writes;
-          events = List.rev !events;
-          last_values;
-          trace;
-        }
-      in
-      note_run ~kind:"kernel" sem r;
-      r
-
-(* --- kernel v3: specialised steps over pooled Bigarray buffers ---------- *)
+(* --- the fused kernel: specialised steps over pooled Bigarray buffers --- *)
 
 module A1 = Bigarray.Array1
 
@@ -1229,7 +488,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
   let base = pos0 + pad in
   (* gather read streams; scrub the unit output buffers (a unit operand
      may legitimately read an element its producer has not reached yet —
-     the interpreters see 0.0 there, so dirty pool bytes must not leak) *)
+     the general evaluator sees 0.0 there, so dirty pool bytes must not leak) *)
   Array.iteri
     (fun s r ->
       gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s) ~pos0)
@@ -1276,10 +535,12 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
       incr n_events
     end
   in
-  (* trap events, replayed in the interpreters' element-major order *)
+  (* trap events, replayed element-major with units in programme order
+     (the general evaluator's order) *)
   if !any_nonfinite then
     for e = 0 to vlen - 1 do
-      for k = 0 to n_units - 1 do
+      for i = 0 to n_units - 1 do
+        let k = Array.unsafe_get b.Kernel.order_of_sem i in
         let u = units.(k) in
         let v = A1.get bufs.(Array.unsafe_get val_slot k) (base + e) in
         if v -. v <> 0.0 then begin
@@ -1299,11 +560,11 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
         end
       done
     done;
-  (* fault injection: corrupt one output latch (latch model, as in the
-     plan path).  When the draw lands on an elided pass-through unit the
-     corruption must stay on that unit's latch, not on the shared source
-     slot other readers see — materialise the latch as a private copy and
-     route this unit's downstream reads to it for the rest of the run. *)
+  (* fault injection: corrupt one output latch.  When the draw lands on
+     an elided pass-through unit the corruption must stay on that unit's
+     latch, not on the shared source slot other readers see — materialise
+     the latch as a private copy and route this unit's downstream reads to
+     it for the rest of the run. *)
   let fault_slot = ref (-1) in
   (match fault_fu_draw sem with
   | None -> ()
@@ -1332,7 +593,7 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
   in
   (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
      zero tail when the sink outruns the vector length); direct
-     memory-to-memory routes re-read live, exactly as the plan path *)
+     memory-to-memory routes re-read live, as the general evaluator does *)
   let writes = ref 0 in
   Array.iter
     (fun (w : Plan.write_stream) ->
@@ -1413,13 +674,12 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
     {!Kernel.acquire} pool (no per-run allocation once warm), read
     streams gathered with Bigarray-direct bulk transfers, a blocked
     element loop through compile-time-specialised {!Kernel.step}
-    closures — the opcode dispatch of the v2 backend is hoisted entirely
-    out of the hot path — with the non-finite trap pre-scan fused into
-    the compute pass, and one bulk transfer per write sink.  Kernels
-    without a fused body fall back to the general evaluator with the
-    plan's cached analysis.  Results — values, cycle estimates,
-    interrupt events and their order — are bit-identical to
-    {!run_kernel_v2}, {!run_plan} and {!run_legacy}. *)
+    closures — no opcode dispatch in the hot path — with the non-finite
+    trap pre-scan fused into the compute pass, and one bulk transfer per
+    write sink.  Kernels without a fused body fall back to the general
+    evaluator with the plan's cached analysis.  Results — values, cycle
+    estimates, interrupt events and their order — are bit-identical to
+    {!run_general}. *)
 let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
     result =
   let pl = kn.Kernel.plan in
@@ -1550,15 +810,11 @@ let run_batched (nodes : Node.t array) ?(record_trace = false) ?(domains = 1)
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused
     kernel and runs it; callers that replay an instruction should compile
-    once, or use a {!Kernel.cache}, and call {!run_kernel} directly.
-    [force_general] pins the general memoized evaluator (used by the
-    equivalence property tests). *)
+    once, or use a {!Kernel.cache}, and call {!run_kernel} directly. *)
 let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
-    ?(force_general = false) (sem : Semantic.t) : result =
-  if force_general then run_general node ~record_trace ~honor_timing sem
-  else
-    run_kernel node ~record_trace
-      (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
+    (sem : Semantic.t) : result =
+  run_kernel node ~record_trace
+    (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
 
 (* --- explicit metric contexts ------------------------------------------- *)
 
@@ -1575,22 +831,11 @@ let run_general node ?record_trace ?honor_timing ?analysis ?metrics sem =
   in_ctx metrics (fun () ->
       run_general node ?record_trace ?honor_timing ?analysis sem)
 
-let run_legacy node ?record_trace ?honor_timing ?force_general ?metrics sem =
-  in_ctx metrics (fun () ->
-      run_legacy node ?record_trace ?honor_timing ?force_general sem)
-
-let run_plan node ?record_trace ?metrics pl =
-  in_ctx metrics (fun () -> run_plan node ?record_trace pl)
-
 let run_kernel node ?record_trace ?budget ?metrics kn =
   in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
-
-let run_kernel_v2 node ?record_trace ?metrics kn =
-  in_ctx metrics (fun () -> run_kernel_v2 node ?record_trace kn)
 
 let run_batched nodes ?record_trace ?domains ?metrics kn =
   in_ctx metrics (fun () -> run_batched nodes ?record_trace ?domains kn)
 
-let run node ?record_trace ?honor_timing ?force_general ?metrics sem =
-  in_ctx metrics (fun () ->
-      run node ?record_trace ?honor_timing ?force_general sem)
+let run node ?record_trace ?honor_timing ?metrics sem =
+  in_ctx metrics (fun () -> run node ?record_trace ?honor_timing sem)

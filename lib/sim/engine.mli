@@ -49,8 +49,10 @@ type result = {
 (** Cap on the interrupt events retained in a {!result}. *)
 val max_recorded_events : int
 
-(** The general memoized evaluator.  [analysis] supplies a precomputed
-    timing analysis (from a compiled plan) so none is recomputed here. *)
+(** The general memoized evaluator: the timing-honouring reference every
+    fused kernel is checked against, and the fallback for instructions
+    without a fused body.  [analysis] supplies a precomputed timing
+    analysis (from a compiled plan) so none is recomputed here. *)
 val run_general :
   Node.t ->
   ?record_trace:bool ->
@@ -58,25 +60,7 @@ val run_general :
   ?analysis:Nsc_checker.Timing.t ->
   ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
 
-(** The seed dispatch, preserved for benchmarking against the plan-based
-    path: re-analyses timing on every call and rebuilds every lookup
-    table per dispatch. *)
-val run_legacy :
-  Node.t ->
-  ?record_trace:bool ->
-  ?honor_timing:bool ->
-  ?force_general:bool ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
-
-(** Execute a compiled {!Plan.t}: bulk-prefetched read streams, a pure
-    array-indexing inner loop, no timing re-analysis.  Plans without a
-    dense body fall back to the general evaluator with the plan's cached
-    analysis. *)
-val run_plan :
-  Node.t ->
-  ?record_trace:bool -> ?metrics:Nsc_metrics.Metrics.ctx -> Plan.t -> result
-
-(** Execute a fused {!Kernel.t} (the v3 backend): buffers drawn from the
+(** Execute a fused {!Kernel.t}: buffers drawn from the
     domain-local {!Kernel.acquire} pool, read streams gathered with
     Bigarray-direct bulk transfers, a blocked element loop through
     compile-time-specialised {!Kernel.step} closures (no opcode dispatch
@@ -84,7 +68,7 @@ val run_plan :
     compute pass, and one bulk transfer per write sink.  Kernels without
     a fused body fall back to the general evaluator.  Results — values,
     cycles, interrupt events and their order — are bit-identical to
-    {!run_plan} (property-tested).  [budget] is polled at every kernel
+    {!run_general} (property-tested).  [budget] is polled at every kernel
     block boundary, so a wall deadline or a cancellation unwinds with
     [Nsc_guard.Guard.Budget.Deadline_exceeded] mid-instruction (pooled
     buffers are released on the way out). *)
@@ -95,16 +79,6 @@ val run_kernel :
   ?metrics:Nsc_metrics.Metrics.ctx ->
   Kernel.t ->
   result
-
-(** The retained v2 kernel backend: fresh [float array] buffers per
-    execution, one opcode dispatch per unit per 256-element block, a
-    separate trap-scan pass.  Kept — like {!run_legacy} — as the
-    measured baseline for the bench regression gate ({!run_kernel} must
-    hold ≥2x over this path on the n=9 Jacobi solve).  Bit-identical to
-    {!run_kernel}. *)
-val run_kernel_v2 :
-  Node.t ->
-  ?record_trace:bool -> ?metrics:Nsc_metrics.Metrics.ctx -> Kernel.t -> result
 
 (** Run K independent replicas of one compiled kernel, replica [r] on
     [nodes.(r)], over interleaved pooled buffer slabs (replica [r]'s
@@ -139,12 +113,10 @@ val reset_batch_counters : unit -> unit
 
 (** Execute one pipeline instruction: compile a plan, lower it to a fused
     kernel, run it.  Callers replaying an instruction should use a
-    {!Kernel.cache} and {!run_kernel}.  [force_general] pins the general
-    memoized evaluator (used by the equivalence property tests). *)
+    {!Kernel.cache} and {!run_kernel}. *)
 val run :
   Node.t ->
   ?record_trace:bool ->
   ?honor_timing:bool ->
-  ?force_general:bool ->
   ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
 

@@ -1,10 +1,8 @@
 (** Fused vector kernels: the second compilation stage.
 
-    A {!Plan.t} still pays per-element, per-unit interpretation costs in
-    its inner loop: an operand-variant match, a closure over the element
-    index, an opcode dispatch and an exception classification for every
-    unit at every element.  This module lowers a plan once more, into a
-    {!t} whose execution ({!Engine.run_kernel}) is a handful of fused,
+    A {!Plan.t} resolves everything static about an instruction, but its
+    operands are still variants to be matched per element.  This module
+    lowers a plan once more, into a {!t} whose execution ({!Engine.run_kernel}) is a handful of fused,
     closure-free float loops:
 
     - every operand is pre-resolved to a [(buffer, offset)] pair into a
@@ -96,17 +94,14 @@ type step = buf array -> int -> int -> int -> float
     Every buffer is [pad] elements of zero padding on both sides of the
     [vlen] live elements, with [pad] at least the largest operand-offset
     magnitude — so out-of-range reads (feedback warm-up, shift/delay ends,
-    short streams) land in the padding and read 0.0, exactly the plan
-    interpreter's bounds-checked semantics, without a branch. *)
+    short streams) land in the padding and read 0.0, exactly the general
+    evaluator's bounds-checked semantics, without a branch. *)
 type body = {
   vlen : int;
   pad : int;
   blen : int;  (** buffer length: [pad + max vlen 1 + pad] *)
   n_buffers : int;
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
-  static_v2 : float array array;
-      (** float-array twin of [static] kept for {!Engine.run_kernel_v2},
-          the retained v2 baseline the bench regression gate times *)
   stream_base : int;
   unit_base : int;
   units : kunit array;  (** topological order, as in the plan *)
@@ -553,19 +548,16 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
   let pad = !pad in
   let blen = pad + max vlen 1 + pad in
   let static = Array.make stream_base (A1.create Bigarray.float64 Bigarray.c_layout 0) in
-  let static_v2 = Array.make stream_base [||] in
   let filled v =
     let b = A1.create Bigarray.float64 Bigarray.c_layout blen in
     A1.fill b v;
     b
   in
   static.(0) <- filled 0.0;
-  static_v2.(0) <- Array.make blen 0.0;
   List.iter
     (fun (bits, slot) ->
       let c = Int64.float_of_bits bits in
-      static.(slot) <- filled c;
-      static_v2.(slot) <- Array.make blen c)
+      static.(slot) <- filled c)
     !consts;
   let resolve k = function
     | Plan.Zero -> (0, 0)
@@ -627,7 +619,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     blen;
     n_buffers = unit_base + n_units;
     static;
-    static_v2;
     stream_base;
     unit_base;
     units;

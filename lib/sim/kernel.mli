@@ -11,8 +11,8 @@
     write streams flushed with one bulk transfer per sink.
     {!Engine.run_kernel} executes kernels block-wise;
     {!Engine.run_batched} runs K problem instances through one kernel
-    over interleaved buffer slabs.  Results are bit-identical to the plan
-    and legacy paths (property-tested). *)
+    over interleaved buffer slabs.  Results are bit-identical to the
+    general evaluator {!Engine.run_general} (property-tested). *)
 
 (** Padded executable buffer: unboxed float64, C layout (see
     {!Nsc_arch.Memory.vec}). *)
@@ -49,9 +49,6 @@ type body = {
   blen : int;  (** buffer length: [pad + max vlen 1 + pad] *)
   n_buffers : int;
   static : buf array;  (** slots [0 .. stream_base - 1], prebuilt *)
-  static_v2 : float array array;
-      (** float-array twin of [static] for {!Engine.run_kernel_v2}, the
-          retained v2 baseline the bench regression gate times *)
   stream_base : int;  (** read stream [s] gathers into slot [stream_base + s] *)
   unit_base : int;    (** plan unit [k] writes slot [unit_base + k] *)
   units : kunit array;  (** topological order, as in the plan *)

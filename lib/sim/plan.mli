@@ -4,8 +4,10 @@
     long vector streams, so everything static about it — operand bindings,
     switch routes, chain predecessors, topological order, DMA transfers,
     the timing analysis — is resolved once at compile time into an
-    immutable, int-indexed plan.  {!Engine.run_plan} then executes the plan
-    with a pure array-indexing inner loop. *)
+    immutable, int-indexed plan.  A plan is the compile stage under
+    {!Kernel}: {!Kernel.compile} lowers its dense body to a fused kernel,
+    and a plan without one runs on the general evaluator with the
+    plan's cached analysis. *)
 
 open Nsc_arch
 open Nsc_diagram

@@ -57,11 +57,10 @@ let h_reconfig_cycles =
     vector kernel; repeated [Exec]s of the same instruction (loop bodies)
     reuse the plan from [plan_cache] and the kernel from [kernel_cache]
     rather than recompiling.  Pass persistent caches to reuse the
-    compiled forms across runs of the same program; [~engine:`Plan] stops
-    at the plan interpreter, [~engine:`Legacy] restores the seed
-    per-dispatch path and [~engine:`Kernel_v2] the float-array kernel
-    backend (benchmark baselines — all four engines are bit-identical
-    wherever the fused body applies). *)
+    compiled forms across runs of the same program.  [~engine:`General]
+    runs every [Exec] on the general evaluator with the plan's cached
+    analysis instead: the reference the kernel path is checked against,
+    bit for bit. *)
 let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
     ?(engine = `Kernel) ?(plan_cache = Plan.make_cache ())
     ?(kernel_cache = Kernel.make_cache ()) ?budget
@@ -126,12 +125,11 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
               | `Kernel ->
                   Engine.run_kernel node ~record_trace ?budget
                     (Kernel.cached kernel_cache plan_cache p sem)
-              | `Kernel_v2 ->
-                  Engine.run_kernel_v2 node ~record_trace
-                    (Kernel.cached kernel_cache plan_cache p sem)
-              | `Plan ->
-                  Engine.run_plan node ~record_trace (Plan.cached plan_cache p sem)
-              | `Legacy -> Engine.run_legacy node ~record_trace sem
+              | `General ->
+                  let pl = Plan.cached plan_cache p sem in
+                  Engine.run_general node ~record_trace
+                    ~honor_timing:pl.Plan.honor_timing ~analysis:pl.Plan.analysis
+                    sem
             in
             incr executed;
             cycles := !cycles + r.Engine.cycles + p.reconfig_cycles;

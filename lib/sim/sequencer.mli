@@ -42,9 +42,11 @@ val max_recorded_events : int
     fused vector kernel (the default [`Kernel] engine); repeated [Exec]s
     of the same instruction reuse the plan from [plan_cache] and the
     kernel from [kernel_cache] (pass persistent caches to also reuse
-    them across runs).  [~engine:`Plan] stops at the plan interpreter;
-    [~engine:`Legacy] restores the seed per-dispatch path.  All three
-    are bit-identical wherever the fused body applies.
+    them across runs).  [~engine:`General] runs each [Exec] on
+    {!Engine.run_general} with the plan's cached analysis: the reference
+    evaluator, used by the tests and the bench gate as the oracle the
+    kernel path must match bit for bit (memory, stats, captured scalars
+    and event order).
 
     [budget] arms cooperative supervision: each dispatch's cycles (plus
     reconfiguration) are charged to it and it is checked at every
@@ -54,7 +56,7 @@ val run :
   Node.t ->
   ?from_microcode:bool ->
   ?record_trace:bool ->
-  ?engine:[ `Kernel | `Kernel_v2 | `Plan | `Legacy ] ->
+  ?engine:[ `Kernel | `General ] ->
   ?plan_cache:Plan.cache ->
   ?kernel_cache:Kernel.cache ->
   ?budget:Nsc_guard.Guard.Budget.t ->

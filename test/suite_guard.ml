@@ -340,6 +340,23 @@ let serve_tests =
           (Json.member "degraded" r = Some (Json.Bool true));
         check_int "degraded run counted" 1
           (Metrics.value (Serve.metrics t) Guard.c_degraded_runs));
+    case "degraded rung reruns a source job on the kernel path" (fun () ->
+        (* a source program has no reduced-budget variant, so its degraded
+           rung is one more identical attempt: a zero-cycle budget kills
+           all three attempts and the verdict stays a deadline *)
+        let t =
+          server { Serve.default_config with retries = 1; degraded = true }
+        in
+        let r =
+          one_response t
+            {|{"op":"submit","id":"src","deadline_cycles":0,"workload":{"kind":"source","text":"array a[8] plane 0\narray b[8] plane 1\nb = a * 2.0\n"}}|}
+        in
+        check_string "code" "deadline" (Option.get (str r "code"));
+        check_int "attempts" 3 (Option.get (inum r "attempts"));
+        check_bool "degraded flag" true
+          (Json.member "degraded" r = Some (Json.Bool true));
+        check_int "degraded run counted" 1
+          (Metrics.value (Serve.metrics t) Guard.c_degraded_runs));
     case "exhausted ladder fails permanently with a typed code" (fun () ->
         let t = server { Serve.default_config with retries = 1 } in
         let r =

@@ -325,136 +325,113 @@ let suite =
     ("property:editor-fuzz", editor_fuzz);
   ]
 
-(* appended: fast path vs general evaluator equivalence *)
+(* Bit-identity observation of one instruction on a freshly loaded node:
+   every plane's image and the captured scalars as IEEE bit patterns (so
+   NaN results compare equal to themselves, and signed zeros differ), the
+   counters and the interrupt events in order. *)
+let observe_on ~scale ~divisor exec =
+  let node = Nsc_sim.Node.create params in
+  List.iter
+    (fun plane ->
+      Nsc_sim.Node.load_array node ~plane ~base:0
+        (Array.init 80 (fun i -> Float.of_int ((plane * scale) + i) /. divisor)))
+    (List.init 16 (fun p -> p));
+  let r : Nsc_sim.Engine.result = exec node in
+  let mem =
+    List.map
+      (fun plane ->
+        Array.map Int64.bits_of_float
+          (Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80))
+      (List.init 16 (fun p -> p))
+  in
+  ( mem,
+    List.sort compare
+      (List.map (fun (fu, v) -> (fu, Int64.bits_of_float v)) r.Nsc_sim.Engine.last_values),
+    r.Nsc_sim.Engine.cycles,
+    r.Nsc_sim.Engine.flops,
+    r.Nsc_sim.Engine.writes,
+    r.Nsc_sim.Engine.events )
+
+(* appended: the one-shot entry point against the general evaluator *)
 let engine_equivalence =
   [
     qcheck ~count:60 "fast and general evaluators write identical memory"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let run force_general =
-          let node = Nsc_sim.Node.create params in
-          List.iter
-            (fun plane ->
-              Nsc_sim.Node.load_array node ~plane ~base:0
-                (Array.init 80 (fun i -> Float.of_int ((plane * 7) + i) /. 3.0)))
-            (List.init 16 (fun p -> p));
-          let r = Nsc_sim.Engine.run node ~force_general ~record_trace:true sem in
-          let mem =
-            List.map
-              (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
-              (List.init 16 (fun p -> p))
-          in
-          (mem, List.sort compare r.Nsc_sim.Engine.last_values, r.Nsc_sim.Engine.cycles,
-           r.Nsc_sim.Engine.flops)
-        in
-        run true = run false);
+        let observe = observe_on ~scale:7 ~divisor:3.0 in
+        observe (fun node -> Nsc_sim.Engine.run_general node ~record_trace:true sem)
+        = observe (fun node -> Nsc_sim.Engine.run node ~record_trace:true sem));
   ]
 
 let suite = suite @ [ ("property:engine-equivalence", engine_equivalence) ]
 
-(* appended: the compiled-plan executor against the seed dispatch and the
-   general memoized evaluator.  Against the legacy fast path the whole
-   result must match including event order (both run element-major in
-   topological order); the general evaluator discovers traps in memoized
-   recursion order, so it is compared without the event list. *)
+(* appended: compiled plans and their caches.  A plan's cached analysis
+   must drive the general evaluator exactly as a fresh analysis does (the
+   sequencer's [`General] engine relies on it), the kernel lowered from
+   the plan must match both, and a kernel served from the cache must
+   replay a fresh compile bit for bit. *)
 let plan_equivalence =
   [
-    qcheck ~count:60 "compiled plans match the legacy and general evaluators"
+    qcheck ~count:60 "compiled plans match the general evaluator"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let observe exec =
-          let node = Nsc_sim.Node.create params in
-          List.iter
-            (fun plane ->
-              Nsc_sim.Node.load_array node ~plane ~base:0
-                (Array.init 80 (fun i -> Float.of_int ((plane * 11) + i) /. 7.0)))
-            (List.init 16 (fun p -> p));
-          let r : Nsc_sim.Engine.result = exec node in
-          let mem =
-            List.map
-              (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
-              (List.init 16 (fun p -> p))
-          in
-          ( (mem, List.sort compare r.Nsc_sim.Engine.last_values,
-             r.Nsc_sim.Engine.cycles, r.Nsc_sim.Engine.flops,
-             r.Nsc_sim.Engine.writes),
-            r.Nsc_sim.Engine.events )
+        let plan = Nsc_sim.Plan.compile params sem in
+        let observe = observe_on ~scale:11 ~divisor:7.0 in
+        let fresh = observe (fun node -> Nsc_sim.Engine.run_general node sem) in
+        let cached_analysis =
+          observe (fun node ->
+              Nsc_sim.Engine.run_general node ~analysis:plan.Nsc_sim.Plan.analysis sem)
         in
-        let plan = observe (fun node -> Nsc_sim.Engine.run node sem) in
-        let legacy = observe (fun node -> Nsc_sim.Engine.run_legacy node sem) in
-        let general =
-          observe (fun node -> Nsc_sim.Engine.run node ~force_general:true sem)
+        let kernel =
+          observe (fun node ->
+              Nsc_sim.Engine.run_kernel node (Nsc_sim.Kernel.compile plan))
         in
-        plan = legacy && fst plan = fst general);
+        fresh = cached_analysis && kernel = fresh);
     qcheck ~count:40 "cached plans replay identically to fresh compiles"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let node = Nsc_sim.Node.create params in
-        List.iter
-          (fun plane ->
-            Nsc_sim.Node.load_array node ~plane ~base:0
-              (Array.init 80 (fun i -> Float.of_int ((plane * 5) + i) /. 2.0)))
-          (List.init 16 (fun p -> p));
-        let cache = Nsc_sim.Plan.make_cache () in
-        let fresh = Nsc_sim.Engine.run_plan node (Nsc_sim.Plan.compile params sem) in
-        (* prime the cache, then the second lookup must hit and agree *)
-        ignore (Nsc_sim.Plan.cached cache params sem);
-        let hits_before = Nsc_sim.Plan.cache_hit_count () in
-        let cached = Nsc_sim.Engine.run_plan node (Nsc_sim.Plan.cached cache params sem) in
-        Nsc_sim.Plan.cache_hit_count () = hits_before + 1
-        && List.sort compare cached.Nsc_sim.Engine.last_values
-           = List.sort compare fresh.Nsc_sim.Engine.last_values
-        && cached.Nsc_sim.Engine.cycles = fresh.Nsc_sim.Engine.cycles);
+        let observe = observe_on ~scale:5 ~divisor:2.0 in
+        let kcache = Nsc_sim.Kernel.make_cache () in
+        let pcache = Nsc_sim.Plan.make_cache () in
+        let fresh =
+          observe (fun node ->
+              Nsc_sim.Engine.run_kernel node
+                (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem)))
+        in
+        (* prime the caches, then the second lookup must hit and agree *)
+        ignore (Nsc_sim.Kernel.cached kcache pcache params sem);
+        let hits_before = Nsc_sim.Kernel.cache_hit_count () in
+        let cached =
+          observe (fun node ->
+              Nsc_sim.Engine.run_kernel node
+                (Nsc_sim.Kernel.cached kcache pcache params sem))
+        in
+        Nsc_sim.Kernel.cache_hit_count () = hits_before + 1 && cached = fresh);
   ]
 
 let suite = suite @ [ ("property:plan-equivalence", plan_equivalence) ]
 
-(* appended: the fused-kernel executor against the plan interpreter and
-   the legacy fast path — full three-way bit identity including event
-   order, clean and under a seeded fault model.  The model is re-created
-   with the same seed before each engine's run, so all three consume an
-   identical fault stream. *)
+(* appended: the fused-kernel executor against the general evaluator —
+   full bit identity including event order, clean and under a seeded
+   fault model.  The model is re-created with the same seed before each
+   run, so both consume an identical fault stream. *)
 let kernel_equivalence =
-  let observe exec =
-    let node = Nsc_sim.Node.create params in
-    List.iter
-      (fun plane ->
-        Nsc_sim.Node.load_array node ~plane ~base:0
-          (Array.init 80 (fun i -> Float.of_int ((plane * 13) + i) /. 5.0)))
-      (List.init 16 (fun p -> p));
-    let r : Nsc_sim.Engine.result = exec node in
-    let mem =
-      List.map
-        (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
-        (List.init 16 (fun p -> p))
-    in
-    ( mem,
-      List.sort compare r.Nsc_sim.Engine.last_values,
-      r.Nsc_sim.Engine.cycles,
-      r.Nsc_sim.Engine.flops,
-      r.Nsc_sim.Engine.writes,
-      r.Nsc_sim.Engine.events )
-  in
+  let observe = observe_on ~scale:13 ~divisor:5.0 in
   let kernel_exec sem node =
     Nsc_sim.Engine.run_kernel node
       (Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem))
   in
+  let general_exec sem node = Nsc_sim.Engine.run_general node sem in
   [
-    qcheck ~count:60 "fused kernels match the plan and legacy engines"
+    qcheck ~count:60 "fused kernels match the general evaluator"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
-        let kernel = observe (kernel_exec sem) in
-        let plan =
-          observe (fun node ->
-              Nsc_sim.Engine.run_plan node (Nsc_sim.Plan.compile params sem))
-        in
-        let legacy = observe (fun node -> Nsc_sim.Engine.run_legacy node sem) in
-        kernel = plan && kernel = legacy);
-    qcheck ~count:40 "fused kernels match the other engines under seeded faults"
+        observe (kernel_exec sem) = observe (general_exec sem));
+    qcheck ~count:40 "fused kernels match the general evaluator under seeded faults"
       valid_pipeline_gen
       (fun pl ->
         let sem, _ = Semantic.of_pipeline params pl in
@@ -468,13 +445,7 @@ let kernel_equivalence =
           F.install (F.make ~seed:97 spec);
           Fun.protect ~finally:F.clear (fun () -> observe exec)
         in
-        let kernel = faulted (kernel_exec sem) in
-        let plan =
-          faulted (fun node ->
-              Nsc_sim.Engine.run_plan node (Nsc_sim.Plan.compile params sem))
-        in
-        let legacy = faulted (fun node -> Nsc_sim.Engine.run_legacy node sem) in
-        kernel = plan && kernel = legacy);
+        faulted (kernel_exec sem) = faulted (general_exec sem));
   ]
 
 let suite = suite @ [ ("property:kernel-equivalence", kernel_equivalence) ]

@@ -6,7 +6,6 @@
 
 open Util
 module Serve = Nsc_serve.Serve
-module Protocol = Nsc_serve.Protocol
 module Json = Nsc_metrics.Json
 module Jacobi = Nsc_apps.Jacobi
 module Poisson = Nsc_apps.Poisson
@@ -97,7 +96,7 @@ let protocol_tests =
         ignore (expect_error ~code:"bad-request" "[1,2,3]");
         ignore (expect_error ~code:"bad-request" {|{"id":"x"}|});
         ignore (expect_error ~code:"bad-request" {|{"op":"frobnicate"}|}));
-    case "submit validation: id, kind, bounds, engine, faults" (fun () ->
+    case "submit validation: id, kind, bounds, faults" (fun () ->
         let bad body = ignore (expect_error ~code:"bad-request" body) in
         bad {|{"op":"submit","workload":{"kind":"jacobi","n":5}}|};
         bad {|{"op":"submit","id":"","workload":{"kind":"jacobi","n":5}}|};
@@ -106,7 +105,6 @@ let protocol_tests =
         bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":5.5}}|};
         bad {|{"op":"submit","id":"x","workload":{"kind":"jacobi","n":5,"tol":0}}|};
         bad {|{"op":"submit","id":"x","workload":{"kind":"source","text":""}}|};
-        bad {|{"op":"submit","id":"x","engine":"gpu","workload":{"kind":"jacobi","n":5}}|};
         bad {|{"op":"submit","id":"x","faults":"nonsense","workload":{"kind":"jacobi","n":5}}|});
     case "a validation error echoes the client job id" (fun () ->
         let o =
@@ -114,13 +112,32 @@ let protocol_tests =
             {|{"op":"submit","id":"mine","workload":{"kind":"jacobi","n":99}}|}
         in
         check_string "id echoed" "mine" (Option.value ~default:"?" (str o "id")));
-    case "engine names round-trip" (fun () ->
-        List.iter
-          (fun e ->
-            match Protocol.engine_of_string (Protocol.engine_to_string e) with
-            | Some e' -> check_bool "round-trips" true (e = e')
-            | None -> Alcotest.fail "engine name did not round-trip")
-          [ `Kernel; `Kernel_v2; `Plan; `Legacy ]);
+    case "an engine member is ignored like any unknown member" (fun () ->
+        let answer line =
+          let t = server () in
+          ignore (Serve.handle_line t line);
+          match Serve.drain t with
+          | [ r ] -> (
+              (* every member but the wall-clock latency *)
+              match parse r with
+              | Json.Obj fields ->
+                  List.filter (fun (k, _) -> k <> "latency_usec") fields
+              | _ -> Alcotest.fail "response is not an object")
+          | rs -> Alcotest.failf "expected one response, got %d" (List.length rs)
+        in
+        let plain = answer {|{"op":"submit","id":"e","workload":{"kind":"jacobi","n":5,"tol":1e-4}}|} in
+        let tagged =
+          answer
+            {|{"op":"submit","id":"e","engine":"legacy","workload":{"kind":"jacobi","n":5,"tol":1e-4}}|}
+        in
+        check_string "status" "ok"
+          (match List.assoc_opt "status" plain with Some (Json.Str s) -> s | _ -> "?");
+        check_int "same members" (List.length plain) (List.length tagged);
+        List.iter2
+          (fun (k, v) (k', v') ->
+            check_string "member name" k k';
+            check_string ("member " ^ k) (Json.to_string v) (Json.to_string v'))
+          plain tagged);
   ]
 
 (* --- job execution --------------------------------------------------- *)

@@ -435,6 +435,76 @@ let cache_tests =
 
 let suite = suite @ [ ("sim:cache", cache_tests) ]
 
+(* --- whole-program oracle comparisons ------------------------------------ *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* A node's storage as IEEE bit patterns (NaN payloads and signed zeros
+   count): every materialised plane page holding a non-zero word, by page
+   index, and both buffers of every cache. *)
+let node_image (node : Node.t) =
+  let page_bits (v : Nsc_arch.Memory.vec) =
+    Array.init (Bigarray.Array1.dim v) (fun i ->
+        Int64.bits_of_float (Bigarray.Array1.get v i))
+  in
+  let planes =
+    Array.map
+      (fun (st : Nsc_arch.Memory.store) ->
+        Hashtbl.fold
+          (fun k v acc ->
+            let b = page_bits v in
+            if Array.for_all (Int64.equal 0L) b then acc else (k, b) :: acc)
+          st.Nsc_arch.Memory.pages []
+        |> List.sort compare)
+      node.Node.planes
+  in
+  let caches =
+    Array.map
+      (fun (c : Nsc_arch.Cache.t) -> (bits c.Nsc_arch.Cache.front, bits c.Nsc_arch.Cache.back))
+      node.Node.caches
+  in
+  (planes, caches)
+
+(* Run [f] under a freshly seeded fault model, or clean. *)
+let with_faults spec f =
+  match spec with
+  | None -> f ()
+  | Some (text, seed) ->
+      let module F = Nsc_fault.Fault in
+      let fspec = match F.parse text with Ok s -> s | Error e -> failwith e in
+      F.install (F.make ~seed fspec);
+      Fun.protect ~finally:F.clear f
+
+(* One whole-program run on [engine]: the outcome and the node image. *)
+let run_program ?faults ~engine ~prepare compiled =
+  with_faults faults (fun () ->
+      let node = Node.create params in
+      prepare node;
+      match Sequencer.run node ~engine compiled with
+      | Ok o -> (o, node_image node)
+      | Error e -> Alcotest.fail e)
+
+(* Bit identity of two whole-program runs: memory images, stats (event
+   order included; [compare], not [=], so a NaN condition value equals
+   itself), the halt flag and the captured scalars. *)
+let check_same_run what ((o1 : Sequencer.outcome), img1) ((o2 : Sequencer.outcome), img2) =
+  let scalars (o : Sequencer.outcome) =
+    List.sort compare
+      (List.map (fun (fu, v) -> (fu, Int64.bits_of_float v)) o.Sequencer.last_values)
+  in
+  check_bool (what ^ ": memory image") true (img1 = img2);
+  check_bool (what ^ ": events recorded") true (o1.Sequencer.stats.Sequencer.events <> []);
+  check_bool (what ^ ": stats") true (compare o1.Sequencer.stats o2.Sequencer.stats = 0);
+  check_bool (what ^ ": halted") true (o1.Sequencer.halted = o2.Sequencer.halted);
+  check_bool (what ^ ": last values") true (scalars o1 = scalars o2)
+
+(* The n=5 Jacobi program, built and loaded through the public app API. *)
+let jacobi5 () =
+  let prob = Nsc_apps.Poisson.manufactured 5 in
+  let b = Nsc_apps.Jacobi.build kb prob.Nsc_apps.Poisson.grid ~tol:1e-4 ~max_iters:200 in
+  let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Nsc_apps.Jacobi.program) in
+  (c, fun node -> Nsc_apps.Jacobi.load node b prob)
+
 (* appended: the plan compiler, its per-run instruction cache, and the
    multinode domain fan-out *)
 let plan_tests =
@@ -468,17 +538,19 @@ let plan_tests =
         ignore (Result.get_ok (Sequencer.run node c));
         check_int "analysed once for six executions" 1
           (Nsc_checker.Timing.analysis_count () - a0));
-    case "plan and legacy engines agree on the Jacobi solve" (fun () ->
-        let prob = Nsc_apps.Poisson.manufactured 5 in
-        let go engine =
-          Result.get_ok
-            (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
+    case "the general engine compiles each plan once on the Jacobi solve" (fun () ->
+        let c, prepare = jacobi5 () in
+        let compiles engine =
+          let c0 = Stats.plan_compiles () in
+          let r = run_program ~engine ~prepare c in
+          (Stats.plan_compiles () - c0, r)
         in
-        let p = go `Plan and l = go `Legacy in
-        check_int "sweeps" l.Nsc_apps.Jacobi.sweeps p.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields" true (p.Nsc_apps.Jacobi.u = l.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (p.Nsc_apps.Jacobi.final_change = l.Nsc_apps.Jacobi.final_change));
+        let kernel_compiles, k = compiles `Kernel in
+        let general_compiles, g = compiles `General in
+        check_int "one plan per instruction" (List.length c.Nsc_microcode.Codegen.semantics)
+          general_compiles;
+        check_int "as many as the kernel path" kernel_compiles general_compiles;
+        check_same_run "general vs kernel" g k);
     case "compute_step over domains matches the sequential fan-out" (fun () ->
         let run domains =
           let m = Multinode.create ~dim:3 params in
@@ -527,18 +599,13 @@ let kernel_tests =
            keep their pre-kernel behaviour *)
         check_int "one plan compile" 1 (Stats.plan_compiles () - c0);
         check_int "four plan hits" 4 (Stats.plan_cache_hits () - h0));
-    case "kernel, plan and legacy engines agree on the Jacobi solve" (fun () ->
-        let prob = Nsc_apps.Poisson.manufactured 5 in
-        let go engine =
-          Result.get_ok
-            (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
-        in
-        let k = go `Kernel and p = go `Plan and l = go `Legacy in
-        check_int "sweeps" p.Nsc_apps.Jacobi.sweeps k.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields vs plan" true (k.Nsc_apps.Jacobi.u = p.Nsc_apps.Jacobi.u);
-        check_bool "fields vs legacy" true (k.Nsc_apps.Jacobi.u = l.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (k.Nsc_apps.Jacobi.final_change = p.Nsc_apps.Jacobi.final_change));
+    case "kernel and general engines agree on the Jacobi solve" (fun () ->
+        let c, prepare = jacobi5 () in
+        let k = run_program ~engine:`Kernel ~prepare c in
+        let g = run_program ~engine:`General ~prepare c in
+        check_bool "ran several sweeps" true
+          ((fst k).Sequencer.stats.Sequencer.instructions_executed > 3);
+        check_same_run "kernel vs general" k g);
     case "kernel path is bit-identical with tracing on and off" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go () =
@@ -685,10 +752,11 @@ let async_exchange_tests =
 
 let suite = suite @ [ ("sim:async-exchange", async_exchange_tests) ]
 
-(* appended: the v3 kernel backend — agreement with the retained v2
-   baseline, the Bigarray buffer pool's edge cases (reuse, zero-length
-   buffers, dirty returns feeding the pad-zeroing path), constant
-   interning, pass-through elision, and batched replica execution *)
+(* appended: the v3 kernel backend — agreement with the general
+   evaluator under faults, the Bigarray buffer pool's edge cases (reuse,
+   zero-length buffers, dirty returns feeding the pad-zeroing path),
+   constant interning, pass-through elision, and batched replica
+   execution *)
 let kernel_v3_tests =
   let jacobi_kernel ~index =
     let b =
@@ -699,17 +767,14 @@ let kernel_v3_tests =
     (b, Kernel.compile (Plan.compile params sem))
   in
   [
-    case "v3 and the retained v2 baseline agree on the Jacobi solve" (fun () ->
-        let prob = Nsc_apps.Poisson.manufactured 5 in
-        let go engine =
-          Result.get_ok
-            (Nsc_apps.Jacobi.solve kb ~engine prob ~tol:1e-4 ~max_iters:200)
-        in
-        let v3 = go `Kernel and v2 = go `Kernel_v2 in
-        check_int "sweeps" v2.Nsc_apps.Jacobi.sweeps v3.Nsc_apps.Jacobi.sweeps;
-        check_bool "fields" true (v3.Nsc_apps.Jacobi.u = v2.Nsc_apps.Jacobi.u);
-        check_bool "residual" true
-          (v3.Nsc_apps.Jacobi.final_change = v2.Nsc_apps.Jacobi.final_change));
+    case "v3 and the general evaluator agree on a faulted Jacobi solve" (fun () ->
+        let c, prepare = jacobi5 () in
+        let faults = ("fu-fault:p=0.02", 1234) in
+        let k = run_program ~faults ~engine:`Kernel ~prepare c in
+        let g = run_program ~faults ~engine:`General ~prepare c in
+        check_bool "a fault was trapped" true
+          (Interrupt.trapped_exceptions (fst k).Sequencer.stats.Sequencer.events > 0);
+        check_same_run "faulted kernel vs general" k g);
     case "a warm solve draws every working buffer from the pool" (fun () ->
         let prob = Nsc_apps.Poisson.manufactured 5 in
         let go () =
@@ -838,3 +903,74 @@ let kernel_v3_tests =
   ]
 
 let suite = suite @ [ ("sim:kernel-v3", kernel_v3_tests) ]
+
+(* appended: whole programs beyond Jacobi on the general oracle — the
+   12-instruction two-grid multigrid program (nested repeats) and the
+   pipeline-language 1-D Jacobi (a while loop on a captured residual),
+   each clean and under a seeded fault model.  Memory images, stats,
+   captured scalars and the event stream must match bit for bit. *)
+let read_asset name =
+  let path = Filename.concat "../examples/programs" name in
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let multigrid17 () =
+  let prog =
+    match Serialize.of_string params (read_asset "multigrid_17.nsc") with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
+  (* a smooth right-hand side, interior masks and a rough initial guess *)
+  let prepare node =
+    Node.load_array node ~plane:13 ~base:0
+      (Array.init 21 (fun i -> sin (float_of_int i *. 0.4)));
+    Node.load_array node ~plane:4 ~base:0
+      (Array.init 21 (fun i -> if i < 2 || i > 18 then 0.0 else 1.0));
+    Node.load_array node ~plane:11 ~base:0
+      (Array.init 13 (fun i -> if i < 2 || i > 10 then 0.0 else 1.0));
+    Node.load_array node ~plane:0 ~base:0
+      (Array.init 21 (fun i -> float_of_int (i mod 5) /. 7.0))
+  in
+  (c, prepare)
+
+let jacobi1d_lang () =
+  let lc =
+    match Nsc_lang.Compile.compile kb (read_asset "jacobi1d.lang") with
+    | Ok lc -> lc
+    | Error e -> Alcotest.fail e.Nsc_lang.Compile.message
+  in
+  let c = Result.get_ok (Nsc_microcode.Codegen.compile kb lc.Nsc_lang.Compile.program) in
+  let at name = Option.get (Nsc_lang.Compile.array_location lc name) in
+  let prepare node =
+    let plane, base = at "f" in
+    Node.load_array node ~plane ~base:(base + 1)
+      (Array.init 62 (fun i -> -.sin (float_of_int (i + 1) /. 20.0)));
+    let plane, base = at "mask" in
+    Node.load_array node ~plane ~base:(base + 1) (Array.make 62 1.0)
+  in
+  (c, prepare)
+
+let oracle_case name program faults =
+  case name (fun () ->
+      let c, prepare = program () in
+      let k = run_program ?faults ~engine:`Kernel ~prepare c in
+      let g = run_program ?faults ~engine:`General ~prepare c in
+      if faults <> None then
+        check_bool "a fault was trapped" true
+          (Interrupt.trapped_exceptions (fst k).Sequencer.stats.Sequencer.events > 0);
+      check_same_run name k g)
+
+let oracle_tests =
+  let faults = Some ("fu-fault:p=0.02", 1234) in
+  [
+    oracle_case "multigrid_17.nsc: kernel matches the general oracle" multigrid17 None;
+    oracle_case "multigrid_17.nsc: kernel matches the oracle under faults" multigrid17
+      faults;
+    oracle_case "jacobi1d.lang: kernel matches the general oracle" jacobi1d_lang None;
+    oracle_case "jacobi1d.lang: kernel matches the oracle under faults" jacobi1d_lang
+      faults;
+  ]
+
+let suite = suite @ [ ("sim:oracle", oracle_tests) ]
