@@ -358,9 +358,9 @@ let solve (kb : Knowledge.t) ?layout ?strategy ?plan_cache
 (** Compile once and execute the Jacobi program for K problems on K fresh
     nodes through the lock-step batched sequencer ({!Nsc_sim.Sequencer.run_batch}):
     one decode pass, one compiled plan and kernel per instruction shared
-    by every replica, clean replicas fanned across [domains] worker
-    domains.  Replicas converge independently — each watches its own
-    residual — so the problems may take different sweep counts.  All
+    by every replica, replicas fanned across [domains] worker domains.
+    Replicas converge independently — each watches its own residual —
+    so the problems may take different sweep counts.  All
     problems must share one grid shape (the program is built from
     [probs.(0)]'s grid); [outcomes.(r)] is bit-identical to [solve] of
     [probs.(r)]. *)
@@ -436,8 +436,10 @@ type ft_outcome = {
 
     Under an installed fault model the per-sweep memory-corruption draw
     fires here (the victim word lands in one of the sweep's input or
-    output planes); recovery is booked against the whole ledger via
-    {!Fault.outstanding}, so run one solver at a time.  Corruption that a
+    output planes); recovery is booked against the whole ledger of the
+    calling domain's model via {!Fault.outstanding}.  Models are
+    domain-local, so solvers on different domains, each under its own
+    model, never see each other's faults.  Corruption that a
     sweep overwrites with fresh data before the scrub is booked as
     recovered by the rewrite — a parity model detects on access, not on
     the flip itself. *)

@@ -108,7 +108,7 @@ val solve :
 
 (** Compile once, solve K problems on K fresh nodes through the
     lock-step batched sequencer (one shared plan/kernel per instruction;
-    clean replicas fan across [domains] worker domains).  Replicas
+    replicas fan across [domains] worker domains).  Replicas
     converge independently; all problems must share one grid shape.
     [outcomes.(r)] is bit-identical to {!solve} of [probs.(r)]. *)
 val solve_batch :
@@ -129,8 +129,8 @@ type ft_outcome = {
     the node, and a sweep whose parity scrub or interrupt stream reports
     corruption is rolled back and redone (up to [max_attempts] times per
     sweep).  With no faults firing this executes the exact instruction
-    sequence of {!solve}; under an installed {!Nsc_fault.Fault} model the
-    per-sweep memory-corruption draw fires here. *)
+    sequence of {!solve}; under the calling domain's {!Nsc_fault.Fault}
+    model the per-sweep memory-corruption draw fires here. *)
 val solve_ft :
   Nsc_arch.Knowledge.t ->
   ?layout:layout ->

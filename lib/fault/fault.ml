@@ -8,10 +8,14 @@
     one [--fault-seed] reproduces a whole machine run's fault schedule
     bit-for-bit.
 
-    The model is {e ambient}, mirroring {!Nsc_trace.Trace}: {!install} a
-    model and the engine, router, multi-node exchange and checkpointed
-    solvers consult it at their injection points; with nothing installed
-    every site costs one atomic flag read ([active] returning [None]).
+    The model is {e ambient} and {e domain-local}: {!install} a model on a
+    domain and the engine, router, multi-node exchange and checkpointed
+    solvers running on that domain consult it at their injection points;
+    with nothing installed anywhere every site costs one atomic read
+    ([active] returning [None]).  A model carries its own draw stream and
+    ledger, so faulted runs on different domains stay independent, and
+    the domain fan-outs in [Nsc_sim.Multinode] keep a faulted run on the
+    domain that installed its model.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered ({!outstanding} reports the difference, and
@@ -142,29 +146,20 @@ let spec_to_string s =
   in
   if clauses = [] then "none" else String.concat "," clauses
 
-(* --- the ledger --------------------------------------------------------- *)
+(* --- the ledger cells ---------------------------------------------------- *)
 
-(* Each ledger cell is an always-on atomic (the fault report must work
-   without tracing) mirrored onto a [fault.*] trace counter so the values
-   also appear in trace digests.  [reset_ledger] rewinds the atomics only;
-   the trace counters follow the trace instrument's own reset. *)
-type cell = { tc : Trace.counter; total : int Atomic.t; cname : string }
+(* A ledger cell is registered once, process-wide: its name, its slot in
+   every model's count array, and the [fault.*] trace counter its
+   bookings are mirrored onto.  The counts themselves live in the model
+   (below), so two domains running their own models never share one. *)
+type cell = { tc : Trace.counter; slot : int; cname : string }
 
 let cells : cell list ref = ref []
 
 let cell ~name ~units ~desc =
-  let c = { tc = Trace.counter ~name ~units ~desc; total = Atomic.make 0; cname = name } in
+  let c = { tc = Trace.counter ~name ~units ~desc; slot = List.length !cells; cname = name } in
   cells := c :: !cells;
   c
-
-let bump c n =
-  if n > 0 then begin
-    ignore (Atomic.fetch_and_add c.total n);
-    Trace.add c.tc n
-  end
-
-let value c = Atomic.get c.total
-let reset_ledger () = List.iter (fun c -> Atomic.set c.total 0) !cells
 
 let c_injected =
   cell ~name:"fault.injected" ~units:"faults"
@@ -226,8 +221,73 @@ let c_detour_hops =
   cell ~name:"fault.detour_hops" ~units:"hops"
     ~desc:"extra hops taken by adaptive detours over e-cube routes"
 
-(** Every ledger cell as (name, value), sorted by name — the fault
-    report's data source, live whether or not tracing is enabled. *)
+(* --- the installed model ------------------------------------------------ *)
+
+type t = {
+  spec : spec;
+  seed : int;
+  rng : Prng.t;
+  dead : (int * int, unit) Hashtbl.t;
+      (** configured dead links plus links killed by retry exhaustion *)
+  counts : int array;  (** the model's ledger, one slot per cell *)
+}
+
+let make ~seed spec =
+  let dead = Hashtbl.create 8 in
+  List.iter (fun l -> Hashtbl.replace dead l ()) spec.dead_links;
+  let counts = Array.make (List.length !cells) 0 in
+  { spec; seed; rng = Prng.create ~seed; dead; counts }
+
+(* The installed model is domain-local, like a metric context under
+   [Metrics.with_ctx]: a model, its draw stream and its ledger belong to
+   the one domain that installed it, so concurrent faulted runs on
+   different domains never interleave draws.  [n_installed] counts the
+   domains holding a model, process-wide; with none installed an
+   injection site pays one atomic read and no DLS lookup. *)
+let n_installed = Atomic.make 0
+let installed : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(** The model installed on this domain, or [None].  This is the
+    one-branch fast path every injection site starts with. *)
+let active () =
+  if Atomic.get n_installed = 0 then None else Domain.DLS.get installed
+
+let enabled () = Option.is_some (active ())
+
+(** Install [m] as this domain's ambient fault model and zero its ledger;
+    {!clear} after the run. *)
+let install m =
+  Array.fill m.counts 0 (Array.length m.counts) 0;
+  if Option.is_none (Domain.DLS.get installed) then Atomic.incr n_installed;
+  Domain.DLS.set installed (Some m)
+
+let clear () =
+  if Option.is_some (Domain.DLS.get installed) then begin
+    Domain.DLS.set installed None;
+    Atomic.decr n_installed
+  end
+
+(* --- the ledger --------------------------------------------------------- *)
+
+let book m c n =
+  if n > 0 then begin
+    m.counts.(c.slot) <- m.counts.(c.slot) + n;
+    Trace.add c.tc n
+  end
+
+(* A recovery layer's booking lands in this domain's model; with none
+   installed (a clean run's checkpoint restore) only the trace mirror
+   sees it. *)
+let bump c n =
+  match active () with
+  | Some m -> book m c n
+  | None -> if n > 0 then Trace.add c.tc n
+
+let value c = match active () with Some m -> m.counts.(c.slot) | None -> 0
+
+(** Every ledger cell of this domain's model as (name, value), sorted by
+    name — the fault report's data source, live whether or not tracing is
+    enabled.  All zeros with no model installed. *)
 let ledger () =
   List.sort compare (List.map (fun c -> (c.cname, value c)) !cells)
 
@@ -242,42 +302,6 @@ let reconcile () =
   let n = outstanding () in
   if n > 0 then bump c_unrecovered n;
   n
-
-(* --- the installed model ------------------------------------------------ *)
-
-type t = {
-  spec : spec;
-  seed : int;
-  rng : Prng.t;
-  dead : (int * int, unit) Hashtbl.t;
-      (** configured dead links plus links killed by retry exhaustion *)
-}
-
-let make ~seed spec =
-  let dead = Hashtbl.create 8 in
-  List.iter (fun l -> Hashtbl.replace dead l ()) spec.dead_links;
-  { spec; seed; rng = Prng.create ~seed; dead }
-
-let installed : t option ref = ref None
-let flag = Atomic.make false
-
-(** Install [m] as the ambient fault model and zero the ledger.  The model
-    is global mutable state, like the trace instrument: install before the
-    run you want faulted, {!clear} after. *)
-let install m =
-  installed := Some m;
-  reset_ledger ();
-  Atomic.set flag true
-
-let clear () =
-  Atomic.set flag false;
-  installed := None
-
-let enabled () = Atomic.get flag
-
-(** The installed model, or [None].  This is the one-branch fast path
-    every injection site starts with. *)
-let active () = if Atomic.get flag then !installed else None
 
 (* --- draws -------------------------------------------------------------- *)
 
@@ -311,11 +335,11 @@ let draw_link_failures m =
       backoff := !backoff + (m.spec.backoff_cycles * (1 lsl (!failures - 1)))
     done;
     if !failures > 0 then begin
-      bump c_injected !failures;
-      bump c_link_transients !failures;
-      bump c_detected !failures;
-      bump c_retries !failures;
-      bump c_backoff_cycles !backoff
+      book m c_injected !failures;
+      book m c_link_transients !failures;
+      book m c_detected !failures;
+      book m c_retries !failures;
+      book m c_backoff_cycles !backoff
     end;
     { failures = !failures; backoff = !backoff; exhausted = !failures >= m.spec.max_retries }
   end
@@ -330,15 +354,15 @@ let stream_overhead m =
   let { failures; backoff; exhausted } = draw_link_failures m in
   let extra = ref backoff in
   if failures > 0 then begin
-    bump c_recovered failures;
+    book m c_recovered failures;
     if exhausted then extra := !extra + (m.spec.backoff_cycles * (1 lsl m.spec.max_retries))
   end;
   if m.spec.dma_stall_p > 0.0 && Prng.float m.rng < m.spec.dma_stall_p then begin
-    bump c_injected 1;
-    bump c_dma_stalls 1;
-    bump c_detected 1;
-    bump c_recovered 1;
-    bump c_stall_cycles m.spec.dma_stall_cycles;
+    book m c_injected 1;
+    book m c_dma_stalls 1;
+    book m c_detected 1;
+    book m c_recovered 1;
+    book m c_stall_cycles m.spec.dma_stall_cycles;
     extra := !extra + m.spec.dma_stall_cycles
   end;
   !extra
@@ -358,8 +382,8 @@ let streams_overhead m ~streams =
 let draw_fu_fault m ~vlen ~units =
   if m.spec.fu_fault_p <= 0.0 || vlen <= 0 || units <= 0 then None
   else if Prng.float m.rng < m.spec.fu_fault_p then begin
-    bump c_injected 1;
-    bump c_fu_faults 1;
+    book m c_injected 1;
+    book m c_fu_faults 1;
     Some (Prng.int m.rng units, Prng.int m.rng vlen)
   end
   else None

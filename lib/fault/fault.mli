@@ -2,10 +2,13 @@
 
     A seeded splitmix64 stream drives every injection decision, so one
     [--fault-seed] reproduces a whole run's fault schedule bit-for-bit.
-    The model is ambient, like {!Nsc_trace.Trace}: {!install} one and the
-    engine, multi-node exchange and checkpointed solvers consult it at
-    their injection points; with nothing installed every site costs one
-    atomic flag read.
+    The model is ambient and domain-local: {!install} one on a domain and
+    the engine, multi-node exchange and checkpointed solvers running there
+    consult it at their injection points; with nothing installed anywhere
+    every site costs one atomic read.  Each model carries its own draw
+    stream and ledger, and [Nsc_sim.Multinode]'s domain fan-outs run on
+    the calling domain while it holds a model, so one seed gives one
+    faulted run whatever the domain count.
 
     Accounting is double-entry: every injected fault must end up either
     recovered or unrecovered; {!outstanding} reports the difference and
@@ -42,13 +45,16 @@ type t
 
 val make : seed:int -> spec -> t
 
-(** Install [m] as the ambient fault model and zero the ledger. *)
+(** Install [m] as this domain's ambient fault model and zero its ledger. *)
 val install : t -> unit
 
+(** Remove this domain's model (no-op when none is installed). *)
 val clear : unit -> unit
+
+(** This domain has a model installed. *)
 val enabled : unit -> bool
 
-(** The installed model, or [None] — the one-branch fast path every
+(** This domain's model, or [None] — the one-branch fast path every
     injection site starts with. *)
 val active : unit -> t option
 
@@ -95,7 +101,10 @@ val draw_fu_fault : t -> vlen:int -> units:int -> (int * int) option
     with {!rand} and books it with {!note_mem_corrupt}). *)
 val draw_mem_corrupt : t -> bool
 
-(** {1 Recovery bookkeeping} *)
+(** {1 Recovery bookkeeping}
+
+    Bookings go to this domain's model (only the trace mirror sees them
+    when none is installed). *)
 
 val note_recovered : int -> unit
 val note_unrecovered : int -> unit
@@ -112,8 +121,9 @@ val note_fu_detected : int -> unit
 
 (** {1 Ledger} *)
 
-(** Every ledger cell as (name, value), sorted by name — live whether or
-    not tracing is enabled. *)
+(** Every ledger cell of this domain's model as (name, value), sorted by
+    name — live whether or not tracing is enabled; all zeros with no
+    model installed. *)
 val ledger : unit -> (string * int) list
 
 (** Injected faults not yet claimed by recovery or reported unrecoverable. *)

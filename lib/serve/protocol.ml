@@ -25,7 +25,7 @@ let priority_to_string = function
 type job = {
   id : string;
   workload : workload;
-  faults : string option;
+  faults : (string * Fault.spec) option;
   fault_seed : int;
   deadline_ms : float option;
   deadline_cycles : int option;
@@ -117,7 +117,7 @@ let parse_submit obj =
     | Some spec -> (
         (* validate the spec at admission, not at dispatch *)
         match Fault.parse spec with
-        | Ok _ -> Some spec
+        | Ok fspec -> Some (spec, fspec)
         | Error e -> bad ~rid "bad-request" ("bad faults spec: " ^ e))
   in
   let fault_seed = Option.value ~default:1 (int_field ~rid obj "fault_seed") in

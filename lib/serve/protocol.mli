@@ -30,7 +30,9 @@ val priority_to_string : priority -> string
 type job = {
   id : string;                (** client-supplied, echoed on the response *)
   workload : workload;
-  faults : string option;     (** fault spec ([docs/FAULTS.md] grammar) *)
+  faults : (string * Nsc_fault.Fault.spec) option;
+      (** fault spec as submitted ([docs/FAULTS.md] grammar, echoed on
+          the response) and as parsed at admission *)
   fault_seed : int;           (** seed of the deterministic schedule *)
   deadline_ms : float option;
       (** wall-clock ceiling per attempt, from dispatch ([> 0]) *)

@@ -207,9 +207,9 @@ type attempt_result =
    (with [degraded] set) one degraded-mode attempt, then a typed
    permanent failure.  The default config runs exactly one attempt and
    keeps the seed daemon's behaviour: failures answer [run-failed],
-   deadline kills answer [deadline].  Faulted jobs are only ever called
-   from the sequential tail of a wave — the fault model and its seeded
-   draw stream are process-global. *)
+   deadline kills answer [deadline].  A faulted job installs its model on
+   the domain running it, so its draw stream and ledger are its own
+   whichever worker it lands on and whatever runs beside it. *)
 let run_job t (p : pending) : string =
   let job = p.job in
   let jctx = Metrics.create ~label:job.Protocol.id () in
@@ -239,18 +239,15 @@ let run_job t (p : pending) : string =
     in
     match job.Protocol.faults with
     | None -> run ()
-    | Some spec ->
-        let fspec =
-          match Fault.parse spec with Ok s -> s | Error e -> failwith e
-        in
+    | Some (spec, fspec) ->
         Fault.install (Fault.make ~seed:job.Protocol.fault_seed fspec);
+        Fun.protect ~finally:Fault.clear @@ fun () ->
         let r = run () in
         ignore (Fault.reconcile ());
         let ledger = List.filter (fun (_, v) -> v <> 0) (Fault.ledger ()) in
         let unrecovered =
           Option.value ~default:0 (List.assoc_opt "fault.unrecovered" ledger)
         in
-        Fault.clear ();
         fault_fields :=
           [ ("faults",
              Json.Obj
@@ -358,21 +355,8 @@ let drain t =
   else begin
     Metrics.add t.sctx c_waves 1;
     let results = Array.make n "" in
-    let clean = ref [] and faulted = ref [] in
-    Array.iteri
-      (fun i p ->
-        if p.job.Protocol.faults = None then clean := i :: !clean
-        else faulted := i :: !faulted)
-      pending;
-    let clean = Array.of_list (List.rev !clean) in
-    let exec i = results.(i) <- run_job t pending.(i) in
-    let nc = Array.length clean in
-    if t.cfg.domains > 1 && nc > 1 then
-      Nsc_sim.Multinode.parallel_for ~domains:t.cfg.domains ~n:nc (fun k ->
-          exec clean.(k))
-    else Array.iter exec clean;
-    (* faulted jobs last, sequentially: the seeded schedule is global *)
-    List.iter exec (List.rev !faulted);
+    Nsc_sim.Multinode.parallel_for ~domains:t.cfg.domains ~n (fun i ->
+        results.(i) <- run_job t pending.(i));
     (* completions are journalled after the wave, on this domain: the
        out-channel is not shared with workers, and a crash inside the
        wave must leave every in-flight job marked pending for replay *)

@@ -18,8 +18,9 @@
       [queue-full], and the rejection triggers a drain so the next
       submit is admitted — clients that interleave [drain] requests (or
       keep bursts within the queue bound) never see rejections;
-    - jobs carrying a fault spec run sequentially after the clean jobs
-      of their wave (the seeded fault schedule is process-global);
+    - jobs carrying a fault spec are dispatched with the rest of their
+      wave; each installs its own domain-local fault model, so its
+      response is the one it would get alone;
     - responses of one wave are emitted in submission order. *)
 
 type config = {

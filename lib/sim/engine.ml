@@ -150,7 +150,7 @@ let note_read_streams ~vlen streams =
         Dma.note_read ~words:(Dma.effective_count t ~vector_length:vlen))
       streams
 
-(* Fault injection (both helpers cost one atomic flag check when no model
+(* Fault injection (both helpers cost one atomic read when no model
    is installed).  The FU draw picks a victim (unit index in programme
    order, element) whose output latch the evaluators corrupt to NaN —
    detection is the interrupt scheme trapping [Invalid_operand].  The
@@ -731,10 +731,10 @@ let c_batch_fallbacks =
     [nodes.(r)], over interleaved buffer slabs: each buffer slot is one
     pooled slab of [K * blen] elements, replica [r]'s element 0 at
     [r * blen + pad], so a replica's pads isolate its operand-offset
-    reads from its neighbours.  Clean replicas fan out across the
-    process-wide persistent domain pool ({!Multinode.parallel_for});
-    under an installed fault model execution is replica-major sequential
-    so the seeded draw stream stays reproducible.  [results.(r)] is
+    reads from its neighbours.  Replicas fan out across the process-wide
+    persistent domain pool ({!Multinode.parallel_for}), which runs them
+    replica-major on the caller under an installed fault model, so the
+    seeded draw stream stays reproducible.  [results.(r)] is
     bit-identical to [run_kernel nodes.(r) kn] on a clean machine for
     every K, and under faults for K = 1 (the draw stream interleaves
     differently for K > 1).  Kernels without a fused body fall back to
@@ -791,18 +791,10 @@ let run_batched (nodes : Node.t array) ?(record_trace = false) ?(domains = 1)
           exec_body_replica nodes.(r) ~record_trace ~kind:"batch" pl b slabs
             ~pos0:(r * blen)
         in
-        let sequential =
-          domains <= 1 || krep = 1 || Option.is_some (Fault.active ())
-        in
         let r0 = exec_replica 0 in
         let results = Array.make krep r0 in
-        if sequential then
-          for r = 1 to krep - 1 do
-            results.(r) <- exec_replica r
-          done
-        else
-          Multinode.parallel_for ~domains ~n:(krep - 1) (fun i ->
-              results.(i + 1) <- exec_replica (i + 1));
+        Multinode.parallel_for ~domains ~n:(krep - 1) (fun i ->
+            results.(i + 1) <- exec_replica (i + 1));
         Kernel.release_from slabs ~from:b.Kernel.stream_base slab_len;
         results
   end

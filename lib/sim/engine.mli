@@ -83,10 +83,10 @@ val run_kernel :
 (** Run K independent replicas of one compiled kernel, replica [r] on
     [nodes.(r)], over interleaved pooled buffer slabs (replica [r]'s
     element 0 at [r * blen + pad]; per-replica pads isolate operand-offset
-    reads).  Clean replicas fan out across the process-wide persistent
-    domain pool ({!Multinode.parallel_for}) when [domains > 1]; under an
-    installed fault model execution is replica-major sequential so the
-    seeded draw stream stays reproducible.  [results.(r)] is
+    reads).  Replicas fan out across the process-wide persistent domain
+    pool ({!Multinode.parallel_for}) when [domains > 1]; that pool runs
+    them replica-major on the caller under an installed fault model, so
+    the seeded draw stream stays reproducible.  [results.(r)] is
     bit-identical to [run_kernel nodes.(r)] on a clean machine for every
     K, and under faults for K = 1.  Kernels without a fused body fall
     back to the general evaluator per replica. *)

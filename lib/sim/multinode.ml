@@ -202,16 +202,23 @@ let node t i =
   if i < 0 || i >= n_nodes t then invalid_arg "Multinode.node";
   t.nodes.(i)
 
+(* The one determinism rule for seeded faults: a domain holding a fault
+   model runs its fan-outs itself, in index order, so the model's draw
+   stream and ledger see exactly the sequential run.  Both fan-outs below
+   consult it; no caller needs its own check. *)
+let sequential ~domains ~n = domains <= 1 || n <= 1 || Fault.enabled ()
+
 (** Apply [f] to every node and collect the results in node order,
     optionally fanning the calls across [domains] OCaml domains drawn
     from the machine's persistent pool.  Node 0 runs first on the
     calling domain, seeding a pre-sized result buffer (no option boxing,
     no unwrap); stripes then cover the remaining nodes, each slot
     written exactly once by the stripe owning it.  [domains <= 1] (the
-    default) runs sequentially. *)
+    default), or a fault model installed on the calling domain, runs
+    sequentially. *)
 let parallel_iter ?(domains = 1) t (f : int -> Node.t -> 'a) : 'a array =
   let n = Array.length t.nodes in
-  if domains <= 1 || n <= 1 then Array.init n (fun i -> f i t.nodes.(i))
+  if sequential ~domains ~n then Array.init n (fun i -> f i t.nodes.(i))
   else begin
     let d = min domains n in
     let r0 = f 0 t.nodes.(0) in
@@ -250,16 +257,16 @@ let ensure_shared ~workers =
           p)
 
 (** Apply [f] to every index in [0, n), fanning the calls across the
-    process-wide persistent domain pool ([domains <= 1] runs sequentially
-    on the caller, which also takes a stripe otherwise).  The determinism
-    contract of {!parallel_iter} applies: [f i] must touch only state
-    owned by index [i], so scheduling reorders execution but never any
-    index's inputs or outputs.  One caller at a time: the shared pool
-    runs a single job, so nested or concurrent calls must keep
-    [domains = 1]. *)
+    process-wide persistent domain pool ([domains <= 1], or a fault model
+    installed on the caller, runs sequentially on the caller, which also
+    takes a stripe otherwise).  The determinism contract of
+    {!parallel_iter} applies: [f i] must touch only state owned by index
+    [i], so scheduling reorders execution but never any index's inputs or
+    outputs.  One caller at a time: the shared pool runs a single job, so
+    nested or concurrent calls must keep [domains = 1]. *)
 let parallel_for ?(domains = 1) ~n (f : int -> unit) =
   if n > 0 then begin
-    if domains <= 1 || n = 1 then
+    if sequential ~domains ~n then
       for i = 0 to n - 1 do
         f i
       done

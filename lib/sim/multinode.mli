@@ -51,10 +51,10 @@ val node : t -> int -> Node.t
     whose mutex hand-off orders all worker writes before the read.
     Scheduling can therefore change the order in which nodes compute,
     but never any node's inputs or outputs — the returned array is
-    bit-identical to a sequential run.  The one shared mutable input is
-    an installed {!Nsc_fault.Fault} model, whose seeded draw stream is
-    consumed in scheduling order: keep [domains = 1] when a reproducible
-    fault schedule matters. *)
+    bit-identical to a sequential run.  While the calling domain has a
+    {!Nsc_fault.Fault} model installed the call runs on that domain, in
+    node order, whatever [domains] says: the model's seeded draw stream
+    is then consumed exactly as in a sequential run. *)
 val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
 
 (** Apply [f] to every index in [0, n), fanned across a process-wide
@@ -63,7 +63,9 @@ val parallel_iter : ?domains:int -> t -> (int -> Node.t -> 'a) -> 'a array
     of {!parallel_iter}; {!Engine.run_batched} schedules replicas through
     it).  [f i] must touch only state owned by index [i]; one caller at a
     time — nested or concurrent calls must keep [domains = 1] (the
-    sequential default). *)
+    sequential default).  Like {!parallel_iter} it runs on the calling
+    domain, in index order, while that domain has a fault model
+    installed. *)
 val parallel_for : ?domains:int -> n:int -> (int -> unit) -> unit
 
 (** Join and release the machine's pooled worker domains (no-op if no

@@ -226,8 +226,8 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
     [run nodes.(r)] of the same program, including per-replica iteration
     counts, event streams and captured scalars (property-tested).  All
     replicas share one decode pass and one plan/kernel cache; nodes must
-    share the parameters of [nodes.(0)].  [domains] fans clean replicas
-    across the persistent domain pool. *)
+    share the parameters of [nodes.(0)].  [domains] fans replicas across
+    the persistent domain pool (on the caller under a fault model). *)
 let run_batch (nodes : Node.t array) ?(from_microcode = true)
     ?(record_trace = false) ?(domains = 1) ?(plan_cache = Plan.make_cache ())
     ?(kernel_cache = Kernel.make_cache ()) ?budget (c : Codegen.compiled) :

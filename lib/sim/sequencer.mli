@@ -73,8 +73,8 @@ val run :
     reaching it.  [outcomes.(r)] is bit-identical to [run nodes.(r)] of
     the same program — per-replica iteration counts, event streams,
     captured scalars (property-tested).  Nodes must share the parameters
-    of [nodes.(0)]; [domains] fans clean replicas across the persistent
-    domain pool. *)
+    of [nodes.(0)]; [domains] fans replicas across the persistent domain
+    pool ({!Multinode.parallel_for}: on the caller under a fault model). *)
 val run_batch :
   Node.t array ->
   ?from_microcode:bool ->

@@ -80,16 +80,6 @@ let trace_counters () =
 let trace_summary = Nsc_trace.Trace.summary
 let trace_to_chrome = Nsc_trace.Trace.to_chrome
 
-(** {2 The fault ledger}
-
-    Fault-injection accounting, re-exported from {!Nsc_fault.Fault}.
-    Unlike the trace counters, the ledger is live whether or not tracing
-    is enabled — it backs the CLI fault report.  See [docs/FAULTS.md]. *)
-
-let fault_ledger = Nsc_fault.Fault.ledger
-let fault_outstanding = Nsc_fault.Fault.outstanding
-let fault_reconcile = Nsc_fault.Fault.reconcile
-
 (** {2 The profile layer}
 
     The hotspot view over a metric context: where the run's cycles went,

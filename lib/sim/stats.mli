@@ -86,21 +86,6 @@ val trace_summary : unit -> string
     [chrome://tracing] loadable). *)
 val trace_to_chrome : unit -> string
 
-(** {2 The fault ledger}
-
-    Fault-injection accounting (re-exported from {!Nsc_fault.Fault}),
-    live whether or not tracing is enabled.  See [docs/FAULTS.md]. *)
-
-(** Every fault ledger cell as [(name, value)], sorted by name. *)
-val fault_ledger : unit -> (string * int) list
-
-(** Injected faults not yet claimed by recovery or reported
-    unrecoverable; 0 at the end of a balanced run. *)
-val fault_outstanding : unit -> int
-
-(** Book any outstanding faults as unrecovered; returns the number. *)
-val fault_reconcile : unit -> int
-
 (** {2 The profile layer}
 
     The hotspot view over a metric context: where a run's cycles went,

@@ -522,6 +522,86 @@ let async_fault_tests =
             check_int "outstanding" 0 (F.outstanding ())));
   ]
 
+(* --- the parallel rule: one seed, one faulted run ---------------------- *)
+
+(* Fields and node images compared as bit patterns: a landed FU fault
+   leaves NaNs, which [=] never equates. *)
+let field_bits f = Array.map Int64.bits_of_float f
+
+let ft_run ~seed =
+  with_model ~seed "mem-corrupt:p=0.2" (fun _ ->
+      let r = Jacobi.solve_ft kb (Poisson.manufactured 5) ~tol:1e-5 ~max_iters:500 in
+      (r, F.ledger ()))
+
+let domain_tests =
+  [
+    case "a faulted multi-node run is bit-identical at one and two domains"
+      (fun () ->
+        let go ~domains ~overlap =
+          with_model ~seed:7 "fu-fault:p=0.05" (fun _ ->
+              let f =
+                Result.get_ok
+                  (Parallel.run_field ~domains ~overlap params ~n:5 ~iters:2 ~dim:6)
+              in
+              (field_bits f, F.ledger ()))
+        in
+        List.iter
+          (fun overlap ->
+            let one, ledger = go ~domains:1 ~overlap in
+            check_bool "faults landed" true (lv ledger "fault.fu_faults" > 0);
+            for _ = 1 to 3 do
+              let two, ledger2 = go ~domains:2 ~overlap in
+              check_bool "field bits at two domains" true (two = one);
+              check_bool "ledger at two domains" true (ledger2 = ledger)
+            done)
+          [ false; true ]);
+    case "concurrent checkpointed solves keep their own fault schedules"
+      (fun () ->
+        let solo7 = ft_run ~seed:7 and solo11 = ft_run ~seed:11 in
+        check_bool "corruption landed" true
+          (lv (snd solo7) "fault.mem_corruptions" > 0
+          && lv (snd solo11) "fault.mem_corruptions" > 0);
+        let d7 = Domain.spawn (fun () -> ft_run ~seed:7) in
+        let d11 = Domain.spawn (fun () -> ft_run ~seed:11) in
+        let r7 = Domain.join d7 and r11 = Domain.join d11 in
+        check_bool "seed 7 outcome and ledger" true (compare r7 solo7 = 0);
+        check_bool "seed 11 outcome and ledger" true (compare r11 solo11 = 0);
+        check_bool "no model left on this domain" true (F.active () = None));
+    case "a faulted batch is bit-identical at one and two domains" (fun () ->
+        let k = 4 in
+        let base = Poisson.manufactured 5 in
+        let b = Jacobi.build kb base.Poisson.grid ~tol:1e-4 ~max_iters:50 in
+        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Jacobi.program) in
+        let go ~domains =
+          with_model ~seed:7 "fu-fault:p=0.05,dma-stall:p=0.05" (fun _ ->
+              let nodes =
+                Array.init k (fun r ->
+                    let node = Nsc_sim.Node.create params in
+                    let scale = float_of_int (r + 1) in
+                    Jacobi.load node b
+                      { base with Poisson.f = Array.map (( *. ) scale) base.Poisson.f };
+                    node)
+              in
+              let outs = Result.get_ok (Nsc_sim.Sequencer.run_batch nodes ~domains c) in
+              let images =
+                Array.map
+                  (fun node ->
+                    Array.init (Array.length node.Nsc_sim.Node.planes) (fun plane ->
+                        field_bits
+                          (Nsc_sim.Node.dump_array node ~plane ~base:0
+                             ~len:(Grid.padded_words base.Poisson.grid))))
+                  nodes
+              in
+              (outs, images, F.ledger ()))
+        in
+        let outs1, images1, ledger1 = go ~domains:1 in
+        let outs2, images2, ledger2 = go ~domains:2 in
+        check_bool "faults landed" true (lv ledger1 "fault.injected" > 0);
+        check_bool "outcomes" true (compare outs1 outs2 = 0);
+        check_bool "node images" true (images1 = images2);
+        check_bool "ledger" true (ledger1 = ledger2));
+  ]
+
 let suite =
   [
     ("fault:prng", prng_tests);
@@ -532,5 +612,6 @@ let suite =
     ("fault:multinode", multinode_tests);
     ("fault:async-exchange", async_fault_tests);
     ("fault:solvers", solver_tests);
+    ("fault:domains", domain_tests);
     ("fault:serializer", serializer_tests);
   ]

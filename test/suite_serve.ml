@@ -411,8 +411,56 @@ let strip_host_noise obj =
            fields)
   | o -> o
 
+(* A wave of clean and faulted jobs, each response keyed by id. *)
+let wave_responses ~domains jobs =
+  let t = server ~domains () in
+  List.iter (fun line -> ignore (Serve.handle_line t line)) jobs;
+  List.map
+    (fun r ->
+      let o = parse r in
+      (Option.get (str o "id"), o))
+    (Serve.drain t)
+
+let mixed_wave =
+  let faults = "transient-link:p=0.05,dma-stall:p=0.05" in
+  [ submit ~id:"c1" ();
+    submit ~id:"f1" ~faults ~fault_seed:5 ();
+    submit ~id:"c2" ~n:3 ();
+    submit ~id:"c3" ~n:7 ();
+    submit ~id:"f2" ~faults ~fault_seed:9 ~n:7 ();
+    submit ~id:"c4" ();
+  ]
+
 let isolation_tests =
   [
+    case "faulted jobs run beside clean ones with their own fault schedules"
+      (fun () ->
+        let one = wave_responses ~domains:1 mixed_wave in
+        let two = wave_responses ~domains:2 mixed_wave in
+        check_int "six responses" 6 (List.length two);
+        List.iter2
+          (fun (id1, o1) (id2, o2) ->
+            check_string "submission order" id1 id2;
+            check_string ("status " ^ id1) "ok" (Option.get (str o1 "status"));
+            check_string ("response " ^ id1)
+              (Json.to_string (strip_host_noise o1))
+              (Json.to_string (strip_host_noise o2)))
+          one two;
+        List.iteri
+          (fun i line ->
+            let id, o = List.nth two i in
+            match Json.member "faults" o with
+            | None -> ()
+            | Some f -> (
+                check_bool (id ^ " injected faults") true
+                  (Option.value ~default:0 (inum f "fault.injected") > 0);
+                match wave_responses ~domains:1 [ line ] with
+                | [ (_, alone) ] ->
+                    check_string (id ^ " faults as when alone")
+                      (Json.to_string (Option.get (Json.member "faults" alone)))
+                      (Json.to_string f)
+                | _ -> Alcotest.fail "expected one response"))
+          mixed_wave);
     qcheck ~count:15 "interleaved jobs carry the same metrics as serial runs"
       QCheck2.Gen.(list_size (int_range 2 5) (int_range 0 2))
       (fun picks ->
