@@ -58,22 +58,6 @@ type kernel_perf = {
 
 let kernel_perf_result : kernel_perf option ref = ref None
 
-type throughput_perf = {
-  tp_batch : int;  (** replica count K *)
-  tp_domains : int;
-  tp_batch_seconds : float;
-  tp_problems_per_sec : float;
-  tp_single_seconds : float;  (** K independent [solve] calls *)
-  tp_batch_runs : int;
-  tp_batch_replicas : int;
-  tp_batch_fallbacks : int;
-  tp_pool_hits : int;
-  tp_pool_misses : int;
-  tp_residual_match : bool;
-}
-
-let throughput_perf_result : throughput_perf option ref = ref None
-
 type trace_perf = {
   trace_disabled_seconds : float;
   trace_enabled_seconds : float;
@@ -205,24 +189,6 @@ let write_bench_json path =
       out "    \"pool_misses\": %d,\n" k.kernel_pool_misses;
       out "    \"residual_match\": %b,\n" k.kernel_residual_match;
       out "    \"faulted_residual_match\": %b\n" k.kernel_faulted_match;
-      out "  }");
-  (match !throughput_perf_result with
-  | None -> ()
-  | Some t ->
-      out ",\n  \"throughput\": {\n";
-      out "    \"batch\": %d,\n" t.tp_batch;
-      out "    \"domains\": %d,\n" t.tp_domains;
-      out "    \"batch_seconds\": %.4f,\n" t.tp_batch_seconds;
-      out "    \"problems_per_sec\": %.2f,\n" t.tp_problems_per_sec;
-      out "    \"single_seconds\": %.4f,\n" t.tp_single_seconds;
-      out "    \"speedup_vs_sequential\": %.2f,\n"
-        (t.tp_single_seconds /. t.tp_batch_seconds);
-      out "    \"batch_runs\": %d,\n" t.tp_batch_runs;
-      out "    \"batch_replicas\": %d,\n" t.tp_batch_replicas;
-      out "    \"batch_fallbacks\": %d,\n" t.tp_batch_fallbacks;
-      out "    \"pool_hits\": %d,\n" t.tp_pool_hits;
-      out "    \"pool_misses\": %d,\n" t.tp_pool_misses;
-      out "    \"residual_match\": %b\n" t.tp_residual_match;
       out "  }");
   (match !trace_perf_result with
   | None -> ()
@@ -1122,92 +1088,6 @@ let perf_engine () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* THROUGHPUT: batched K-replica execution vs. one-at-a-time solves    *)
-(* ------------------------------------------------------------------ *)
-
-let perf_throughput () =
-  section "THROUGHPUT" "batched K-replica kernels vs. sequential solves";
-  let k = 64 in
-  let prob = Poisson.manufactured 9 in
-  let tol = 1e-6 and max_iters = 4000 in
-  let probs = Array.make k prob in
-  let single =
-    match Jacobi.solve kb prob ~tol ~max_iters with
-    | Error e -> failwith ("THROUGHPUT: " ^ e)
-    | Ok o -> o
-  in
-  (* one domain: batching pays off through shared compiles and interleaved
-     slabs even without parallelism, and this host may be single-core —
-     worker-domain fan-out is covered by the property tests *)
-  let domains = 1 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  (* warm the buffer pool and domain state before either measurement *)
-  ignore (Jacobi.solve_batch kb ~domains probs ~tol ~max_iters);
-  Stats.reset_batch_counters ();
-  Stats.reset_kernel_counters ();
-  let batch_seconds, outcomes =
-    time (fun () ->
-        match Jacobi.solve_batch kb ~domains probs ~tol ~max_iters with
-        | Error e -> failwith ("THROUGHPUT: " ^ e)
-        | Ok os -> os)
-  in
-  let batch_runs = Stats.batch_runs ()
-  and batch_replicas = Stats.batch_replicas ()
-  and batch_fallbacks = Stats.batch_fallbacks ()
-  and pool_hits = Stats.kernel_pool_hits ()
-  and pool_misses = Stats.kernel_pool_misses () in
-  let single_seconds, _ =
-    time (fun () ->
-        Array.iter
-          (fun p ->
-            match Jacobi.solve kb p ~tol ~max_iters with
-            | Error e -> failwith ("THROUGHPUT: " ^ e)
-            | Ok _ -> ())
-          probs)
-  in
-  let residual_match =
-    Array.for_all
-      (fun (o : Jacobi.outcome) ->
-        o.Jacobi.sweeps = single.Jacobi.sweeps
-        && o.Jacobi.final_change = single.Jacobi.final_change)
-      outcomes
-  in
-  if not residual_match then
-    failwith "THROUGHPUT: a batched replica diverged from the single solve";
-  let problems_per_sec = float_of_int k /. batch_seconds in
-  row "K = %d replicas of the n=9 Jacobi solve, %d worker domain(s):\n" k domains;
-  row "  batched (one compile, interleaved slabs): %8.3f s  (%.1f problems/s)\n"
-    batch_seconds problems_per_sec;
-  row "  sequential independent solves           : %8.3f s  (%.1f problems/s)\n"
-    single_seconds
-    (float_of_int k /. single_seconds);
-  row "  batch over sequential                   : %8.2fx\n"
-    (single_seconds /. batch_seconds);
-  row "  batch runs / replicas / fallbacks       : %d / %d / %d\n" batch_runs
-    batch_replicas batch_fallbacks;
-  row "  buffer pool hits / misses               : %d / %d\n" pool_hits pool_misses;
-  row "  replica residuals match the single solve: %b\n" residual_match;
-  throughput_perf_result :=
-    Some
-      {
-        tp_batch = k;
-        tp_domains = domains;
-        tp_batch_seconds = batch_seconds;
-        tp_problems_per_sec = problems_per_sec;
-        tp_single_seconds = single_seconds;
-        tp_batch_runs = batch_runs;
-        tp_batch_replicas = batch_replicas;
-        tp_batch_fallbacks = batch_fallbacks;
-        tp_pool_hits = pool_hits;
-        tp_pool_misses = pool_misses;
-        tp_residual_match = residual_match;
-      }
-
-(* ------------------------------------------------------------------ *)
 (* TRACE: the instrument's counters and its disabled-path budget       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1931,7 +1811,6 @@ let () =
   a1_reconfig ();
   a2_sor ();
   perf_engine ();
-  perf_throughput ();
   trace_overhead ();
   profile_hotspots ();
   fault_injection ();

@@ -269,9 +269,10 @@ let domains_arg =
                program is replicated on every node of a hypercube machine \
                just large enough for $(docv) domains and executed through \
                the machine's persistent domain pool; the replicas are \
-               checked bit-identical and node 0 is reported.  Ignored when \
-               a fault model is installed — the seeded fault schedule is \
-               consumed sequentially to stay reproducible.")
+               checked bit-identical (exit 1 on a mismatch) and node 0 is \
+               reported.  Ignored when a fault model is installed — the \
+               seeded fault schedule is consumed sequentially to stay \
+               reproducible.")
 
 (* smallest hypercube dimension giving at least [n] nodes *)
 let dim_for_domains n =
@@ -281,7 +282,8 @@ let dim_for_domains n =
 (* Execute [exec node] on every node of a fresh [2^dim]-node machine
    (each prepared by [prepare]), fanned over [domains] domains from the
    machine's pool; all replicas must agree bit-identically (they run the
-   same program on identical data), and node 0's result is returned. *)
+   same program on identical data), and node 0's result is returned.
+   A mismatch exits 1. *)
 let run_replicated p ~domains ~prepare ~exec =
   let machine = Nsc_sim.Multinode.create ~dim:(dim_for_domains domains) p in
   Array.iter prepare machine.Nsc_sim.Multinode.nodes;
@@ -293,6 +295,7 @@ let run_replicated p ~domains ~prepare ~exec =
   Printf.printf "replicated on %d node(s) across %d domain(s): %s\n"
     (Array.length results) domains
     (if agree then "replicas bit-identical" else "REPLICA MISMATCH");
+  if not agree then exit 1;
   (Nsc_sim.Multinode.node machine 0, results.(0))
 
 let trace_out =
@@ -329,17 +332,7 @@ let run_cmd =
            ~doc:"Print a memory range after the run.")
   in
   let events = Arg.(value & flag & info [ "events" ] ~doc:"Print the interrupt log.") in
-  let batch_arg =
-    Arg.(value & opt int 1
-         & info [ "batch" ] ~docv:"K"
-             ~doc:"Run $(docv) replicas of the program in lock-step through \
-                   the batched kernel executor: one compiled kernel per \
-                   instruction shared across replicas, over interleaved \
-                   buffer slabs.  Combine with $(b,--domains) to fan clean \
-                   replicas across worker domains.  Replicas are checked \
-                   bit-identical and replica 0 is reported.")
-  in
-  let run subset path loads dumps events trace faults seed domains batch =
+  let run subset path loads dumps events trace faults seed domains =
     guarded @@ fun () ->
     let kb = kb_of_subset subset in
     let p = Knowledge.params kb in
@@ -366,25 +359,10 @@ let run_cmd =
       else domains
     in
     let node = ref (Nsc_sim.Node.create p) in
-    if batch <= 1 && domains <= 1 then apply_loads !node;
+    if domains <= 1 then apply_loads !node;
     with_trace trace (fun () ->
         let result =
-          if batch > 1 then begin
-            let nodes = Array.init batch (fun _ -> Nsc_sim.Node.create p) in
-            Array.iter apply_loads nodes;
-            node := nodes.(0);
-            match Nsc_sim.Sequencer.run_batch nodes ~domains c with
-            | Error e -> Error e
-            | Ok outs ->
-                let agree = Array.for_all (fun o -> compare outs.(0) o = 0) outs in
-                Printf.printf "batched %d replica(s) across %d domain(s): %s\n"
-                  batch domains
-                  (if faulted then "fault draws interleave across replicas"
-                   else if agree then "replicas bit-identical"
-                   else "REPLICA MISMATCH");
-                Ok outs.(0)
-          end
-          else if domains <= 1 then Nsc_sim.Sequencer.run !node c
+          if domains <= 1 then Nsc_sim.Sequencer.run !node c
           else begin
             let n0, r =
               run_replicated p ~domains ~prepare:apply_loads
@@ -431,7 +409,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a program on the simulated node.")
     Term.(const run $ subset_flag $ program_arg $ loads $ dumps $ events $ trace_out
-          $ faults_opt $ fault_seed_arg $ domains_arg $ batch_arg)
+          $ faults_opt $ fault_seed_arg $ domains_arg)
 
 (* -- render ------------------------------------------------------------- *)
 

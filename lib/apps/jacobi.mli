@@ -106,19 +106,6 @@ val solve :
     deadline/cancellation token checked at every sweep boundary, which
     unwinds with [Nsc_guard.Guard.Budget.Deadline_exceeded]. *)
 
-(** Compile once, solve K problems on K fresh nodes through the
-    lock-step batched sequencer (one shared plan/kernel per instruction;
-    replicas fan across [domains] worker domains).  Replicas
-    converge independently; all problems must share one grid shape.
-    [outcomes.(r)] is bit-identical to {!solve} of [probs.(r)]. *)
-val solve_batch :
-  Nsc_arch.Knowledge.t ->
-  ?layout:layout ->
-  ?domains:int ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  Poisson.problem array ->
-  tol:float -> max_iters:int -> (outcome array, string) result
-
 type ft_outcome = {
   outcome : outcome;
   rollbacks : int;        (** checkpoint restores performed *)

@@ -11,8 +11,8 @@
 
 (** {1 Budgets: deadlines and cancellation}
 
-    A budget is a token threaded through [Sequencer.run]/[run_batch],
-    the kernel engine and [Jacobi.solve*].  The sequencer charges each
+    A budget is a token threaded through [Sequencer.run], the kernel
+    engine and [Jacobi.solve*].  The sequencer charges each
     dispatched instruction's cycles to it and checks it at every
     instruction boundary (which includes every sweep boundary); the
     fused-kernel engine additionally polls the wall deadline and the

@@ -71,10 +71,6 @@ let h_exec_cycles =
   Metrics.histogram ~name:"hist.exec_cycles" ~units:"cycles"
     ~desc:"per-instruction pipeline execution latency"
 
-let h_batch_step =
-  Metrics.histogram ~name:"hist.batch_step_cycles" ~units:"cycles"
-    ~desc:"per-replica instruction latency inside batched kernel runs"
-
 (* Apportion the instruction's cycles across its engaged units for the
    hotspot table: FLOP units weigh in at one flop per streamed element,
    move/merge units at zero (an all-moves instruction splits evenly).
@@ -136,7 +132,6 @@ let note_run ~kind (sem : Semantic.t) (r : result) =
     Trace.add c_elements r.elements;
     if traps > 0 then Trace.add c_traps traps;
     Metrics.observe ctx h_exec_cycles r.cycles;
-    if String.equal kind "batch" then Metrics.observe ctx h_batch_step r.cycles;
     note_attribution ctx sem r
   end
 
@@ -425,27 +420,24 @@ let zero_range (b : Kernel.buf) pos len =
     else A1.fill (A1.sub b pos len) 0.0
 
 (* Gather one read stream into its buffer: the live prefix
-   [pos0 + pad, pos0 + pad + n) comes straight from memory or cache in
-   one Bigarray-direct bulk transfer, the pads and the slack beyond the
-   stream's count are zeroed.  [pos0] is the buffer index of the
-   replica's first pad element (0 for a single run, [r * blen] in a
-   batched slab). *)
-let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf)
-    ~pos0 =
+   [pad, pad + n) comes straight from memory or cache in one
+   Bigarray-direct bulk transfer, the pads and the slack beyond the
+   stream's count are zeroed. *)
+let gather_stream node ~vlen ~pad ~blen (r : Plan.read_stream) (buf : Kernel.buf) =
   let t = r.Plan.transfer in
   let n = min r.Plan.count vlen in
   if n > 0 then begin
     (match t.Dma.channel with
     | Dma.Plane plid ->
         Memory.read_strided_into (Node.plane node plid) ~base:t.Dma.base
-          ~stride:t.Dma.stride ~count:n buf ~pos:(pos0 + pad)
+          ~stride:t.Dma.stride ~count:n buf ~pos:pad
     | Dma.Cache_chan c ->
         Cache.read_pipeline_strided_into (Node.cache node c) ~base:t.Dma.base
-          ~stride:t.Dma.stride ~count:n buf ~pos:(pos0 + pad));
+          ~stride:t.Dma.stride ~count:n buf ~pos:pad);
     Dma.note_read ~words:n
   end;
-  zero_range buf pos0 pad;
-  zero_range buf (pos0 + pad + n) (blen - pad - n)
+  zero_range buf 0 pad;
+  zero_range buf (pad + n) (blen - pad - n)
 
 (* Flush [count] elements of a unit's output buffer, starting at [pos],
    to a write sink in one Bigarray-direct bulk transfer. *)
@@ -467,209 +459,6 @@ let write_bulk_arr node (t : Dma.transfer) ~from (vals : float array) =
   | Dma.Cache_chan c ->
       Cache.write_pipeline_strided (Node.cache node c) ~base ~stride:t.Dma.stride vals
 
-(* Execute the fused body for one replica of [node], with every buffer's
-   first pad element at [pos0] inside [bufs] (element 0 at [pos0 + pad]).
-   Shared verbatim by {!run_kernel} (one replica at [pos0 = 0]) and
-   {!run_batched} (replica [r] at [pos0 = r * blen]), so the single and
-   batched paths cannot diverge.  Touches only node state and the
-   replica's own buffer slice, which is what lets clean batched replicas
-   run on worker domains. *)
-let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
-    (b : Kernel.body) (bufs : Kernel.buf array) ~pos0 : result =
-  let sem = pl.Plan.sem in
-  let vlen = b.Kernel.vlen in
-  let pad = b.Kernel.pad in
-  let blen = b.Kernel.blen in
-  let units = b.Kernel.units in
-  let steps = b.Kernel.steps in
-  let n_units = Array.length units in
-  let unit_base = b.Kernel.unit_base in
-  let val_slot = b.Kernel.val_slot in
-  let base = pos0 + pad in
-  (* gather read streams; scrub the unit output buffers (a unit operand
-     may legitimately read an element its producer has not reached yet —
-     the general evaluator sees 0.0 there, so dirty pool bytes must not leak) *)
-  Array.iteri
-    (fun s r ->
-      gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s) ~pos0)
-    b.Kernel.reads;
-  (* every step writes its full live range in order before anything reads
-     it (cross-unit operands are offset 0, self-feedback reads are
-     delays), so dirty pool bytes can only leak through the pads — except
-     for a look-ahead self-read, which needs the live range zero too *)
-  if pad > 0 then begin
-    let tail = pos0 + pad + vlen in
-    for k = 0 to n_units - 1 do
-      (* an elided pass-through unit's buffer is never read at all *)
-      if Array.unsafe_get val_slot k = unit_base + k then begin
-        let b = bufs.(unit_base + k) in
-        zero_range b pos0 pad;
-        zero_range b tail (blen - pad - vlen)
-      end
-    done
-  end;
-  Array.iteri
-    (fun k full -> if full then zero_range bufs.(unit_base + k) pos0 blen)
-    b.Kernel.full_zero;
-  (* blocked, unit-major compute through the compile-time-specialised
-     step closures: no opcode dispatch anywhere in the hot path.  Each
-     step folds the non-finite trap pre-scan into its own loop and
-     returns 0.0 iff every value it produced was finite. *)
-  let any_nonfinite = ref false in
-  let e0 = ref 0 in
-  while !e0 < vlen do
-    (* kernel block boundary: a wall deadline or cancellation can cut a
-       long fused body short without waiting for the whole instruction *)
-    Nsc_guard.Guard.Budget.poll_opt budget;
-    let e1 = min vlen (!e0 + kernel_block) in
-    for k = 0 to n_units - 1 do
-      if (Array.unsafe_get steps k) bufs base !e0 e1 <> 0.0 then
-        any_nonfinite := true
-    done;
-    e0 := e1
-  done;
-  let events = ref [] and n_events = ref 0 in
-  let record ev =
-    if !n_events < max_recorded_events then begin
-      events := ev :: !events;
-      incr n_events
-    end
-  in
-  (* trap events, replayed element-major with units in programme order
-     (the general evaluator's order) *)
-  if !any_nonfinite then
-    for e = 0 to vlen - 1 do
-      for i = 0 to n_units - 1 do
-        let k = Array.unsafe_get b.Kernel.order_of_sem i in
-        let u = units.(k) in
-        let v = A1.get bufs.(Array.unsafe_get val_slot k) (base + e) in
-        if v -. v <> 0.0 then begin
-          let a = A1.get bufs.(u.Kernel.a_buf) (base + u.Kernel.a_off + e) in
-          let bv = A1.get bufs.(u.Kernel.b_buf) (base + u.Kernel.b_off + e) in
-          match Fu_exec.trapped u.Kernel.op a bv v with
-          | Some kind ->
-              record
-                (Interrupt.Exception_trapped
-                   {
-                     instruction = sem.Semantic.index;
-                     unit_ = u.Kernel.fu;
-                     kind;
-                     element = e;
-                   })
-          | None -> ()
-        end
-      done
-    done;
-  (* fault injection: corrupt one output latch.  When the draw lands on
-     an elided pass-through unit the corruption must stay on that unit's
-     latch, not on the shared source slot other readers see — materialise
-     the latch as a private copy and route this unit's downstream reads to
-     it for the rest of the run. *)
-  let fault_slot = ref (-1) in
-  (match fault_fu_draw sem with
-  | None -> ()
-  | Some (i, e) ->
-      let k = b.Kernel.order_of_sem.(i) in
-      if Array.unsafe_get val_slot k <> unit_base + k then begin
-        A1.blit
-          (A1.sub bufs.(val_slot.(k)) pos0 blen)
-          (A1.sub bufs.(unit_base + k) pos0 blen);
-        fault_slot := k
-      end;
-      A1.set bufs.(unit_base + k) (base + e) Float.nan;
-      record
-        (Interrupt.Exception_trapped
-           {
-             instruction = sem.Semantic.index;
-             unit_ = units.(k).Kernel.fu;
-             kind = Interrupt.Invalid_operand;
-             element = e;
-           });
-      Fault.note_fu_detected 1);
-  (* downstream reads of unit [k]'s values: the value slot, unless the
-     fault materialised a private corrupted latch for it *)
-  let out_slot k =
-    if !fault_slot = k then unit_base + k else Array.unsafe_get val_slot k
-  in
-  (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
-     zero tail when the sink outruns the vector length); direct
-     memory-to-memory routes re-read live, as the general evaluator does *)
-  let writes = ref 0 in
-  Array.iter
-    (fun (w : Plan.write_stream) ->
-      let t = w.Plan.transfer in
-      let count = w.Plan.count in
-      if count > 0 then begin
-        Dma.note_write ~words:count;
-        (match w.Plan.wsrc with
-        | Plan.W_unit k ->
-            let n = min count vlen in
-            if n > 0 then write_vec node t bufs.(out_slot k) ~pos:base ~count:n;
-            if count > n then
-              write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
-        | Plan.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
-        | Plan.W_live { transfer = rt; count = rcount; offset } ->
-            for e = 0 to count - 1 do
-              let v =
-                if e >= vlen then 0.0
-                else
-                  let e' = e + offset in
-                  if e' < 0 || e' >= vlen || e' >= rcount then 0.0
-                  else begin
-                    let addr = rt.Dma.base + (e' * rt.Dma.stride) in
-                    match rt.Dma.channel with
-                    | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
-                    | Dma.Cache_chan c ->
-                        Cache.read_pipeline (Node.cache node c) addr
-                  end
-              in
-              let addr = t.Dma.base + (e * t.Dma.stride) in
-              match t.Dma.channel with
-              | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
-              | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
-            done);
-        writes := !writes + count
-      end)
-    b.Kernel.writes;
-  let last_values =
-    List.mapi
-      (fun i (u : Semantic.unit_program) ->
-        let k = b.Kernel.order_of_sem.(i) in
-        ( u.Semantic.fu,
-          if vlen > 0 then A1.get bufs.(out_slot k) (base + vlen - 1) else 0.0 ))
-      sem.Semantic.units
-  in
-  let cycles = pl.Plan.cycles + fault_stream_cycles sem in
-  record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
-  let trace =
-    if record_trace then begin
-      let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
-      List.iteri
-        (fun i (u : Semantic.unit_program) ->
-          let k = b.Kernel.order_of_sem.(i) in
-          for e = 0 to vlen - 1 do
-            Hashtbl.replace unit_values (u.Semantic.fu, e)
-              (A1.get bufs.(out_slot k) (base + e))
-          done)
-        sem.Semantic.units;
-      Some { unit_values; vlen }
-    end
-    else None
-  in
-  let r =
-    {
-      cycles;
-      flops = pl.Plan.flops;
-      elements = vlen;
-      writes = !writes;
-      events = List.rev !events;
-      last_values;
-      trace;
-    }
-  in
-  note_run ~kind sem r;
-  r
-
 (** Execute a compiled {!Kernel.t}: buffers drawn from the domain-local
     {!Kernel.acquire} pool (no per-run allocation once warm), read
     streams gathered with Bigarray-direct bulk transfers, a blocked
@@ -679,14 +468,15 @@ let exec_body_replica (node : Node.t) ~record_trace ~kind ?budget (pl : Plan.t)
     write sink.  Kernels without a fused body fall back to the general
     evaluator with the plan's cached analysis.  Results — values, cycle
     estimates, interrupt events and their order — are bit-identical to
-    {!run_general}. *)
+    {!run_general}.  Every buffer holds element 0 at index [pad]. *)
 let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
     result =
   let pl = kn.Kernel.plan in
+  let sem = pl.Plan.sem in
   match kn.Kernel.body with
   | None ->
       run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-        ~analysis:pl.Plan.analysis pl.Plan.sem
+        ~analysis:pl.Plan.analysis sem
   | Some b ->
       let n_slots = b.Kernel.n_buffers in
       let bufs = Array.make n_slots b.Kernel.static.(0) in
@@ -697,107 +487,196 @@ let run_kernel (node : Node.t) ?(record_trace = false) ?budget (kn : Kernel.t) :
       Fun.protect
         ~finally:(fun () ->
           Kernel.release_from bufs ~from:b.Kernel.stream_base b.Kernel.blen)
-        (fun () ->
-          exec_body_replica node ~record_trace ~kind:"kernel" ?budget pl b bufs
-            ~pos0:0)
-
-(* --- batched execution --------------------------------------------------- *)
-
-let batch_runs = Atomic.make 0
-let batch_replicas = Atomic.make 0
-let batch_fallbacks = Atomic.make 0
-let batch_run_count () = Atomic.get batch_runs
-let batch_replica_count () = Atomic.get batch_replicas
-let batch_fallback_count () = Atomic.get batch_fallbacks
-
-let reset_batch_counters () =
-  Atomic.set batch_runs 0;
-  Atomic.set batch_replicas 0;
-  Atomic.set batch_fallbacks 0
-
-let c_batch_runs =
-  Trace.counter ~name:"kernel.batch_runs" ~units:"batches"
-    ~desc:"batched kernel executions (one compiled kernel, K replicas)"
-
-let c_batch_replicas =
-  Trace.counter ~name:"kernel.batch_replicas" ~units:"replicas"
-    ~desc:"replica instructions executed through batched kernels"
-
-let c_batch_fallbacks =
-  Trace.counter ~name:"kernel.batch_fallbacks" ~units:"replicas"
-    ~desc:"batched replicas executed by the general evaluator (no fused body)"
-
-(** Run K independent replicas of one compiled kernel, replica [r] on
-    [nodes.(r)], over interleaved buffer slabs: each buffer slot is one
-    pooled slab of [K * blen] elements, replica [r]'s element 0 at
-    [r * blen + pad], so a replica's pads isolate its operand-offset
-    reads from its neighbours.  Replicas fan out across the process-wide
-    persistent domain pool ({!Multinode.parallel_for}), which runs them
-    replica-major on the caller under an installed fault model, so the
-    seeded draw stream stays reproducible.  [results.(r)] is
-    bit-identical to [run_kernel nodes.(r) kn] on a clean machine for
-    every K, and under faults for K = 1 (the draw stream interleaves
-    differently for K > 1).  Kernels without a fused body fall back to
-    the general evaluator per replica (counted by
-    [kernel.batch_fallbacks]). *)
-let run_batched (nodes : Node.t array) ?(record_trace = false) ?(domains = 1)
-    (kn : Kernel.t) : result array =
-  let krep = Array.length nodes in
-  if krep = 0 then [||]
-  else begin
-    Atomic.incr batch_runs;
-    ignore (Atomic.fetch_and_add batch_replicas krep);
-    if Trace.enabled () then begin
-      Trace.add c_batch_runs 1;
-      Trace.add c_batch_replicas krep
-    end;
-    let pl = kn.Kernel.plan in
-    match kn.Kernel.body with
-    | None ->
-        ignore (Atomic.fetch_and_add batch_fallbacks krep);
-        if Trace.enabled () then Trace.add c_batch_fallbacks krep;
-        Array.map
-          (fun node ->
-            run_general node ~record_trace ~honor_timing:pl.Plan.honor_timing
-              ~analysis:pl.Plan.analysis pl.Plan.sem)
-          nodes
-    | Some b ->
-        let blen = b.Kernel.blen in
-        let slab_len = krep * blen in
-        let n_slots = b.Kernel.n_buffers in
-        (* static slots become constant-filled slabs: slot 0 all zeros,
-           constant slot c filled with its interned value (a static
-           buffer holds one value everywhere, pads included).  They are
-           read-only, so the replication is memoized on the body — a
-           cached kernel replayed at a fixed batch width refills
-           nothing.  Working slots come from the pool in bulk. *)
-        let static_slabs =
-          match b.Kernel.static_slabs with
-          | Some (k, s) when k = krep -> s
-          | _ ->
-              let s =
-                Array.init b.Kernel.stream_base (fun i ->
-                    let sl = A1.create Bigarray.float64 Bigarray.c_layout slab_len in
-                    A1.fill sl (A1.get b.Kernel.static.(i) 0);
-                    sl)
-              in
-              b.Kernel.static_slabs <- Some (krep, s);
-              s
-        in
-        let slabs = Array.make n_slots static_slabs.(0) in
-        Array.blit static_slabs 0 slabs 0 b.Kernel.stream_base;
-        Kernel.acquire_into slab_len slabs ~from:b.Kernel.stream_base;
-        let exec_replica r =
-          exec_body_replica nodes.(r) ~record_trace ~kind:"batch" pl b slabs
-            ~pos0:(r * blen)
-        in
-        let r0 = exec_replica 0 in
-        let results = Array.make krep r0 in
-        Multinode.parallel_for ~domains ~n:(krep - 1) (fun i ->
-            results.(i + 1) <- exec_replica (i + 1));
-        Kernel.release_from slabs ~from:b.Kernel.stream_base slab_len;
-        results
-  end
+      @@ fun () ->
+      let vlen = b.Kernel.vlen in
+      let pad = b.Kernel.pad in
+      let blen = b.Kernel.blen in
+      let units = b.Kernel.units in
+      let steps = b.Kernel.steps in
+      let n_units = Array.length units in
+      let unit_base = b.Kernel.unit_base in
+      let val_slot = b.Kernel.val_slot in
+      (* gather read streams; scrub the unit output buffers (a unit operand
+         may legitimately read an element its producer has not reached yet —
+         the general evaluator sees 0.0 there, so dirty pool bytes must not leak) *)
+      Array.iteri
+        (fun s r ->
+          gather_stream node ~vlen ~pad ~blen r bufs.(b.Kernel.stream_base + s))
+        b.Kernel.reads;
+      (* every step writes its full live range in order before anything reads
+         it (cross-unit operands are offset 0, self-feedback reads are
+         delays), so dirty pool bytes can only leak through the pads — except
+         for a look-ahead self-read, which needs the live range zero too *)
+      if pad > 0 then begin
+        let tail = pad + vlen in
+        for k = 0 to n_units - 1 do
+          (* an elided pass-through unit's buffer is never read at all *)
+          if Array.unsafe_get val_slot k = unit_base + k then begin
+            let b = bufs.(unit_base + k) in
+            zero_range b 0 pad;
+            zero_range b tail (blen - pad - vlen)
+          end
+        done
+      end;
+      Array.iteri
+        (fun k full -> if full then zero_range bufs.(unit_base + k) 0 blen)
+        b.Kernel.full_zero;
+      (* blocked, unit-major compute through the compile-time-specialised
+         step closures: no opcode dispatch anywhere in the hot path.  Each
+         step folds the non-finite trap pre-scan into its own loop and
+         returns 0.0 iff every value it produced was finite. *)
+      let any_nonfinite = ref false in
+      let e0 = ref 0 in
+      while !e0 < vlen do
+        (* kernel block boundary: a wall deadline or cancellation can cut a
+           long fused body short without waiting for the whole instruction *)
+        Nsc_guard.Guard.Budget.poll_opt budget;
+        let e1 = min vlen (!e0 + kernel_block) in
+        for k = 0 to n_units - 1 do
+          if (Array.unsafe_get steps k) bufs pad !e0 e1 <> 0.0 then
+            any_nonfinite := true
+        done;
+        e0 := e1
+      done;
+      let events = ref [] and n_events = ref 0 in
+      let record ev =
+        if !n_events < max_recorded_events then begin
+          events := ev :: !events;
+          incr n_events
+        end
+      in
+      (* trap events, replayed element-major with units in programme order
+         (the general evaluator's order) *)
+      if !any_nonfinite then
+        for e = 0 to vlen - 1 do
+          for i = 0 to n_units - 1 do
+            let k = Array.unsafe_get b.Kernel.order_of_sem i in
+            let u = units.(k) in
+            let v = A1.get bufs.(Array.unsafe_get val_slot k) (pad + e) in
+            if v -. v <> 0.0 then begin
+              let a = A1.get bufs.(u.Kernel.a_buf) (pad + u.Kernel.a_off + e) in
+              let bv = A1.get bufs.(u.Kernel.b_buf) (pad + u.Kernel.b_off + e) in
+              match Fu_exec.trapped u.Kernel.op a bv v with
+              | Some kind ->
+                  record
+                    (Interrupt.Exception_trapped
+                       {
+                         instruction = sem.Semantic.index;
+                         unit_ = u.Kernel.fu;
+                         kind;
+                         element = e;
+                       })
+              | None -> ()
+            end
+          done
+        done;
+      (* fault injection: corrupt one output latch.  When the draw lands on
+         an elided pass-through unit the corruption must stay on that unit's
+         latch, not on the shared source slot other readers see — materialise
+         the latch as a private copy and route this unit's downstream reads to
+         it for the rest of the run. *)
+      let fault_slot = ref (-1) in
+      (match fault_fu_draw sem with
+      | None -> ()
+      | Some (i, e) ->
+          let k = b.Kernel.order_of_sem.(i) in
+          if Array.unsafe_get val_slot k <> unit_base + k then begin
+            A1.blit bufs.(val_slot.(k)) bufs.(unit_base + k);
+            fault_slot := k
+          end;
+          A1.set bufs.(unit_base + k) (pad + e) Float.nan;
+          record
+            (Interrupt.Exception_trapped
+               {
+                 instruction = sem.Semantic.index;
+                 unit_ = units.(k).Kernel.fu;
+                 kind = Interrupt.Invalid_operand;
+                 element = e;
+               });
+          Fault.note_fu_detected 1);
+      (* downstream reads of unit [k]'s values: the value slot, unless the
+         fault materialised a private corrupted latch for it *)
+      let out_slot k =
+        if !fault_slot = k then unit_base + k else Array.unsafe_get val_slot k
+      in
+      (* writes: one bulk Bigarray-direct transfer per unit-fed sink (plus a
+         zero tail when the sink outruns the vector length); direct
+         memory-to-memory routes re-read live, as the general evaluator does *)
+      let writes = ref 0 in
+      Array.iter
+        (fun (w : Plan.write_stream) ->
+          let t = w.Plan.transfer in
+          let count = w.Plan.count in
+          if count > 0 then begin
+            Dma.note_write ~words:count;
+            (match w.Plan.wsrc with
+            | Plan.W_unit k ->
+                let n = min count vlen in
+                if n > 0 then write_vec node t bufs.(out_slot k) ~pos:pad ~count:n;
+                if count > n then
+                  write_bulk_arr node t ~from:n (Array.make (count - n) 0.0)
+            | Plan.W_zero -> write_bulk_arr node t ~from:0 (Array.make count 0.0)
+            | Plan.W_live { transfer = rt; count = rcount; offset } ->
+                for e = 0 to count - 1 do
+                  let v =
+                    if e >= vlen then 0.0
+                    else
+                      let e' = e + offset in
+                      if e' < 0 || e' >= vlen || e' >= rcount then 0.0
+                      else begin
+                        let addr = rt.Dma.base + (e' * rt.Dma.stride) in
+                        match rt.Dma.channel with
+                        | Dma.Plane plid -> Node.read_plane node ~plane:plid ~addr
+                        | Dma.Cache_chan c ->
+                            Cache.read_pipeline (Node.cache node c) addr
+                      end
+                  in
+                  let addr = t.Dma.base + (e * t.Dma.stride) in
+                  match t.Dma.channel with
+                  | Dma.Plane plid -> Node.write_plane node ~plane:plid ~addr v
+                  | Dma.Cache_chan c -> Cache.write_pipeline (Node.cache node c) addr v
+                done);
+            writes := !writes + count
+          end)
+        b.Kernel.writes;
+      let last_values =
+        List.mapi
+          (fun i (u : Semantic.unit_program) ->
+            let k = b.Kernel.order_of_sem.(i) in
+            ( u.Semantic.fu,
+              if vlen > 0 then A1.get bufs.(out_slot k) (pad + vlen - 1) else 0.0 ))
+          sem.Semantic.units
+      in
+      let cycles = pl.Plan.cycles + fault_stream_cycles sem in
+      record (Interrupt.Pipeline_complete { instruction = sem.Semantic.index; cycles });
+      let trace =
+        if record_trace then begin
+          let unit_values = Hashtbl.create (max 16 (n_units * vlen)) in
+          List.iteri
+            (fun i (u : Semantic.unit_program) ->
+              let k = b.Kernel.order_of_sem.(i) in
+              for e = 0 to vlen - 1 do
+                Hashtbl.replace unit_values (u.Semantic.fu, e)
+                  (A1.get bufs.(out_slot k) (pad + e))
+              done)
+            sem.Semantic.units;
+          Some { unit_values; vlen }
+        end
+        else None
+      in
+      let r =
+        {
+          cycles;
+          flops = pl.Plan.flops;
+          elements = vlen;
+          writes = !writes;
+          events = List.rev !events;
+          last_values;
+          trace;
+        }
+      in
+      note_run ~kind:"kernel" sem r;
+      r
 
 (** Execute one pipeline instruction.  Compiles an execution plan (see
     {!Plan.compile} — timing analysed exactly once), lowers it to a fused
@@ -825,9 +704,6 @@ let run_general node ?record_trace ?honor_timing ?analysis ?metrics sem =
 
 let run_kernel node ?record_trace ?budget ?metrics kn =
   in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
-
-let run_batched nodes ?record_trace ?domains ?metrics kn =
-  in_ctx metrics (fun () -> run_batched nodes ?record_trace ?domains kn)
 
 let run node ?record_trace ?honor_timing ?metrics sem =
   in_ctx metrics (fun () -> run node ?record_trace ?honor_timing sem)

@@ -80,37 +80,6 @@ val run_kernel :
   Kernel.t ->
   result
 
-(** Run K independent replicas of one compiled kernel, replica [r] on
-    [nodes.(r)], over interleaved pooled buffer slabs (replica [r]'s
-    element 0 at [r * blen + pad]; per-replica pads isolate operand-offset
-    reads).  Replicas fan out across the process-wide persistent domain
-    pool ({!Multinode.parallel_for}) when [domains > 1]; that pool runs
-    them replica-major on the caller under an installed fault model, so
-    the seeded draw stream stays reproducible.  [results.(r)] is
-    bit-identical to [run_kernel nodes.(r)] on a clean machine for every
-    K, and under faults for K = 1.  Kernels without a fused body fall
-    back to the general evaluator per replica. *)
-val run_batched :
-  Node.t array ->
-  ?record_trace:bool ->
-  ?domains:int -> ?metrics:Nsc_metrics.Metrics.ctx -> Kernel.t -> result array
-
-(** {2 Batch counters} — atomic, shared across domains; mirrored on the
-    [kernel.batch_*] trace counters when tracing is enabled. *)
-
-(** Batched executions started ([kernel.batch_runs]). *)
-val batch_run_count : unit -> int
-
-(** Replica instructions executed through batches ([kernel.batch_replicas]). *)
-val batch_replica_count : unit -> int
-
-(** Batched replicas that fell back to the general evaluator
-    ([kernel.batch_fallbacks]). *)
-val batch_fallback_count : unit -> int
-
-(** Zero the three batch counters (trace counters are untouched). *)
-val reset_batch_counters : unit -> unit
-
 (** Execute one pipeline instruction: compile a plan, lower it to a fused
     kernel, run it.  Callers replaying an instruction should use a
     {!Kernel.cache} and {!run_kernel}. *)

@@ -76,8 +76,7 @@ type kunit = {
 
 (** One compile-time-specialised unit loop.  [step bufs base e0 e1]
     applies the unit over elements [e0, e1) with element 0 of every
-    engaged buffer at index [base] (i.e. [pad], or [replica * blen + pad]
-    in a batched slab).  Returns an accumulator that is 0.0 when every
+    engaged buffer at index [base] (the body's [pad]).  Returns an accumulator that is 0.0 when every
     value produced was finite and NaN otherwise — the trap pre-scan fused
     into the compute pass.  Opcodes whose results are finite by
     construction (compares, integer ops) skip the accumulator and return
@@ -123,12 +122,6 @@ type body = {
   reads : Plan.read_stream array;   (** gathered into slots [stream_base + s] *)
   writes : Plan.write_stream array;
   order_of_sem : int array;
-  mutable static_slabs : (int * buf array) option;
-      (** memoized K-replica twin of [static] for {!Engine.run_batched}:
-          [(krep, slabs)] with each slab [krep * blen] elements of one
-          constant value.  Read-only once built and rebuilt only when the
-          batch width changes; mutated only by the orchestrating domain
-          (worker domains see slabs solely through the buffer array). *)
 }
 
 type t = {
@@ -166,7 +159,7 @@ let reset_counters () =
 let pool_key : (int, (int * buf list) ref) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-(* Enough for the deepest single kernel plus a 64-replica batch per
+(* Headroom above the working buffers any one kernel holds at a single
    length; beyond that, releases fall to the GC. *)
 let max_pooled_per_len = 128
 
@@ -247,8 +240,7 @@ let release_from (src : buf array) ~from len =
    numbers and offsets and contains nothing but the tight float loop.
    The unsafe accesses are justified by the buffer invariant above:
    [base + off + e] with [|off| <= pad] and [e < vlen] always lands
-   inside [blen = pad + max vlen 1 + pad] (or inside the replica's
-   region of a batched slab, whose per-replica layout is identical).
+   inside [blen = pad + max vlen 1 + pad].
 
    Float-producing arms fold the trap pre-scan into the same pass:
    [v -. v] is 0.0 for every finite [v] and NaN otherwise, so a
@@ -635,7 +627,6 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
     reads = f.Plan.reads;
     writes = f.Plan.writes;
     order_of_sem = f.Plan.order_of_sem;
-    static_slabs = None;
   }
 
 (** Lower a compiled plan to a fused kernel. *)

@@ -240,7 +240,7 @@ let parallel_iter ?(domains = 1) t (f : int -> Node.t -> 'a) : 'a array =
 (* --- the shared pool ----------------------------------------------------- *)
 
 (* A process-wide persistent pool for parallel work that is not tied to a
-   machine — batched kernel execution fans replicas across it.  Created on
+   machine — the serve daemon fans its job waves across it.  Created on
    first use, grown by replacement, drained by the same [at_exit] hook as
    the machine pools. *)
 let shared_pool : pool option ref = ref None

@@ -216,206 +216,6 @@ let run (node : Node.t) ?(from_microcode = true) ?(record_trace = false)
                 |> List.sort compare;
             })
 
-(** Execute one compiled program on K replica nodes in lock-step, each
-    [Exec] dispatched as one {!Engine.run_batched} call over the replicas
-    still active at that control point.  Control flow is tracked with an
-    active-replica set: a [While] keeps a replica iterating while {e its
-    own} captured condition scalar holds (replicas leave the loop
-    independently and rejoin at the join point), and [Halt] retires every
-    replica that reaches it — so [outcomes.(r)] is bit-identical to
-    [run nodes.(r)] of the same program, including per-replica iteration
-    counts, event streams and captured scalars (property-tested).  All
-    replicas share one decode pass and one plan/kernel cache; nodes must
-    share the parameters of [nodes.(0)].  [domains] fans replicas across
-    the persistent domain pool (on the caller under a fault model). *)
-let run_batch (nodes : Node.t array) ?(from_microcode = true)
-    ?(record_trace = false) ?(domains = 1) ?(plan_cache = Plan.make_cache ())
-    ?(kernel_cache = Kernel.make_cache ()) ?budget (c : Codegen.compiled) :
-    (outcome array, string) result =
-  let krep = Array.length nodes in
-  if krep = 0 then Ok [||]
-  else begin
-    let p = nodes.(0).Node.params in
-    let table : (int, Semantic.t) Hashtbl.t = Hashtbl.create 16 in
-    let load_error = ref None in
-    (if from_microcode then
-       List.iter
-         (fun (i : Encode.instruction) ->
-           match Decode.decode c.Codegen.layout i.Encode.word with
-           | Ok sem -> Hashtbl.replace table i.Encode.index sem
-           | Error e ->
-               if !load_error = None then
-                 load_error :=
-                   Some (Printf.sprintf "instruction %d: %s" i.Encode.index e))
-         c.Codegen.instructions
-     else
-       List.iter
-         (fun (sem : Semantic.t) -> Hashtbl.replace table sem.Semantic.index sem)
-         c.Codegen.semantics);
-    match !load_error with
-    | Some e -> Error e
-    | None ->
-        let cycles = Array.make krep 0
-        and flops = Array.make krep 0
-        and writes = Array.make krep 0
-        and executed = Array.make krep 0
-        and n_events = Array.make krep 0
-        and halted = Array.make krep false in
-        let events = Array.init krep (fun _ -> ref []) in
-        let captured =
-          Array.init krep (fun _ : (Resource.fu_id, float) Hashtbl.t ->
-              Hashtbl.create 16)
-        in
-        let record rep ev =
-          if n_events.(rep) < max_recorded_events then begin
-            events.(rep) := ev :: !(events.(rep));
-            n_events.(rep) <- n_events.(rep) + 1
-          end
-        in
-        let exec_error = ref None in
-        let exec active n =
-          match Hashtbl.find_opt table n with
-          | None ->
-              if !exec_error = None then
-                exec_error :=
-                  Some (Printf.sprintf "control references missing pipeline %d" n);
-              raise Halted
-          | Some sem ->
-              (* lock-step boundary: a deadline never interrupts an
-                 in-flight batched dispatch, so when it fires every
-                 replica has completed the same instruction prefix *)
-              Budget.check_opt budget;
-              if Trace.enabled () then begin
-                let ts = Trace.now () in
-                Trace.advance p.reconfig_cycles;
-                Trace.span ~cat:"sequencer" ~name:"reconfig" ~ts
-                  ~dur:p.reconfig_cycles
-                  ~args:
-                    [ ("instruction", Trace.Int n);
-                      ("replicas", Trace.Int (List.length active)) ]
-                  ();
-                Trace.add c_reconfig_cycles p.reconfig_cycles;
-                Metrics.observe (Metrics.current ()) h_reconfig_cycles
-                  p.reconfig_cycles;
-                Switch.note_reconfig ~routes:(List.length sem.Semantic.routes)
-              end;
-              let kn = Kernel.cached kernel_cache plan_cache p sem in
-              let sel = Array.of_list active in
-              let results =
-                Engine.run_batched
-                  (Array.map (fun r -> nodes.(r)) sel)
-                  ~record_trace ~domains kn
-              in
-              Array.iteri
-                (fun i (r : Engine.result) ->
-                  let rep = sel.(i) in
-                  executed.(rep) <- executed.(rep) + 1;
-                  cycles.(rep) <- cycles.(rep) + r.Engine.cycles + p.reconfig_cycles;
-                  flops.(rep) <- flops.(rep) + r.Engine.flops;
-                  writes.(rep) <- writes.(rep) + r.Engine.writes;
-                  List.iter (record rep) r.Engine.events;
-                  List.iter
-                    (fun (fu, v) -> Hashtbl.replace captured.(rep) fu v)
-                    r.Engine.last_values)
-                results;
-              (* charge the machine wall of the lock-step dispatch: the
-                 slowest replica's execution plus the reconfiguration *)
-              Budget.charge_opt budget
-                (Array.fold_left
-                   (fun m (r : Engine.result) -> max m r.Engine.cycles)
-                   0 results
-                + p.reconfig_cycles)
-        in
-        let eval_condition rep instruction (cond : Interrupt.condition) =
-          let value =
-            Option.value ~default:Float.nan
-              (Hashtbl.find_opt captured.(rep) cond.Interrupt.unit_watched)
-          in
-          let holds =
-            (not (Float.is_nan value))
-            && Interrupt.relation_holds cond.Interrupt.relation value
-                 cond.Interrupt.threshold
-          in
-          record rep
-            (Interrupt.Condition_evaluated
-               { instruction; condition = cond; value; holds });
-          if Trace.enabled () then
-            Trace.instant ~cat:"sequencer" ~name:"condition" ~ts:(Trace.now ())
-              ~args:
-                [ ("instruction", Trace.Int instruction);
-                  ("replica", Trace.Int rep);
-                  ("value", Trace.Float value);
-                  ("holds", Trace.Str (string_of_bool holds)) ]
-              ();
-          holds
-        in
-        let live = List.filter (fun r -> not halted.(r)) in
-        let rec interp active (cs : Program.control list) =
-          if active <> [] then
-            match cs with
-            | [] -> ()
-            | Program.Exec n :: rest ->
-                exec active n;
-                interp (live active) rest
-            | Program.Halt :: _ -> List.iter (fun r -> halted.(r) <- true) active
-            | Program.Repeat { count; body } :: rest ->
-                let act = ref active in
-                for _ = 1 to count do
-                  act := live !act;
-                  if !act <> [] then interp !act body
-                done;
-                interp (live active) rest
-            | Program.While { condition; max_iterations; body } :: rest ->
-                (* lock-step While: the body runs on every replica still
-                   iterating; each replica then consults its own captured
-                   scalar and leaves the loop independently *)
-                let rec loop i act =
-                  if act <> [] && not (max_iterations > 0 && i >= max_iterations)
-                  then begin
-                    interp act body;
-                    let act' =
-                      List.filter
-                        (fun r -> (not halted.(r)) && eval_condition r (-1) condition)
-                        act
-                    in
-                    loop (i + 1) act'
-                  end
-                in
-                loop 0 (live active);
-                interp (live active) rest
-        in
-        let ts_program = if Trace.enabled () then Trace.now () else 0 in
-        (try interp (List.init krep Fun.id) c.Codegen.control with Halted -> ());
-        if Trace.enabled () then
-          Trace.span ~cat:"sequencer" ~name:"program" ~ts:ts_program
-            ~dur:(Trace.now () - ts_program)
-            ~args:
-              [ ("replicas", Trace.Int krep);
-                ("instructions", Trace.Int (Array.fold_left ( + ) 0 executed)) ]
-            ();
-        (match !exec_error with
-        | Some e -> Error e
-        | None ->
-            Ok
-              (Array.init krep (fun rep ->
-                   {
-                     stats =
-                       {
-                         instructions_executed = executed.(rep);
-                         total_cycles = cycles.(rep);
-                         total_flops = flops.(rep);
-                         total_writes = writes.(rep);
-                         events = List.rev !(events.(rep));
-                       };
-                     halted = halted.(rep);
-                     last_values =
-                       Hashtbl.fold
-                         (fun fu v acc -> (fu, v) :: acc)
-                         captured.(rep) []
-                       |> List.sort compare;
-                   })))
-  end
-
 (* --- explicit metric contexts ------------------------------------------- *)
 
 let in_ctx metrics f =
@@ -426,9 +226,3 @@ let run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache
   in_ctx metrics (fun () ->
       run node ?from_microcode ?record_trace ?engine ?plan_cache ?kernel_cache
         ?budget ?on_instruction c)
-
-let run_batch nodes ?from_microcode ?record_trace ?domains ?plan_cache
-    ?kernel_cache ?budget ?metrics c =
-  in_ctx metrics (fun () ->
-      run_batch nodes ?from_microcode ?record_trace ?domains ?plan_cache
-        ?kernel_cache ?budget c)

@@ -64,24 +64,3 @@ val run :
   ?metrics:Nsc_metrics.Metrics.ctx ->
   Nsc_microcode.Codegen.compiled -> (outcome, string) result
 
-(** Execute one compiled program on K replica nodes in lock-step: each
-    [Exec] is dispatched as one {!Engine.run_batched} call over the
-    replicas still active at that control point, sharing one decode pass
-    and one plan/kernel cache.  A [While] keeps each replica iterating
-    on {e its own} captured condition scalar (replicas leave the loop
-    independently and rejoin after it); [Halt] retires every replica
-    reaching it.  [outcomes.(r)] is bit-identical to [run nodes.(r)] of
-    the same program — per-replica iteration counts, event streams,
-    captured scalars (property-tested).  Nodes must share the parameters
-    of [nodes.(0)]; [domains] fans replicas across the persistent domain
-    pool ({!Multinode.parallel_for}: on the caller under a fault model). *)
-val run_batch :
-  Node.t array ->
-  ?from_microcode:bool ->
-  ?record_trace:bool ->
-  ?domains:int ->
-  ?plan_cache:Plan.cache ->
-  ?kernel_cache:Kernel.cache ->
-  ?budget:Nsc_guard.Guard.Budget.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  Nsc_microcode.Codegen.compiled -> (outcome array, string) result

@@ -567,39 +567,6 @@ let domain_tests =
         check_bool "seed 7 outcome and ledger" true (compare r7 solo7 = 0);
         check_bool "seed 11 outcome and ledger" true (compare r11 solo11 = 0);
         check_bool "no model left on this domain" true (F.active () = None));
-    case "a faulted batch is bit-identical at one and two domains" (fun () ->
-        let k = 4 in
-        let base = Poisson.manufactured 5 in
-        let b = Jacobi.build kb base.Poisson.grid ~tol:1e-4 ~max_iters:50 in
-        let c = Result.get_ok (Nsc_microcode.Codegen.compile kb b.Jacobi.program) in
-        let go ~domains =
-          with_model ~seed:7 "fu-fault:p=0.05,dma-stall:p=0.05" (fun _ ->
-              let nodes =
-                Array.init k (fun r ->
-                    let node = Nsc_sim.Node.create params in
-                    let scale = float_of_int (r + 1) in
-                    Jacobi.load node b
-                      { base with Poisson.f = Array.map (( *. ) scale) base.Poisson.f };
-                    node)
-              in
-              let outs = Result.get_ok (Nsc_sim.Sequencer.run_batch nodes ~domains c) in
-              let images =
-                Array.map
-                  (fun node ->
-                    Array.init (Array.length node.Nsc_sim.Node.planes) (fun plane ->
-                        field_bits
-                          (Nsc_sim.Node.dump_array node ~plane ~base:0
-                             ~len:(Grid.padded_words base.Poisson.grid))))
-                  nodes
-              in
-              (outs, images, F.ledger ()))
-        in
-        let outs1, images1, ledger1 = go ~domains:1 in
-        let outs2, images2, ledger2 = go ~domains:2 in
-        check_bool "faults landed" true (lv ledger1 "fault.injected" > 0);
-        check_bool "outcomes" true (compare outs1 outs2 = 0);
-        check_bool "node images" true (images1 = images2);
-        check_bool "ledger" true (ledger1 = ledger2));
   ]
 
 let suite =

@@ -449,79 +449,3 @@ let kernel_equivalence =
   ]
 
 let suite = suite @ [ ("property:kernel-equivalence", kernel_equivalence) ]
-
-(* appended: the batched K-replica executor against K sequential
-   [run_kernel] runs over one shared kernel — full bit identity
-   (memory, last_values, counters, event order) with distinct data per
-   replica, clean for K in 1..4 (sequential and across two domains) and
-   under a seeded fault model for K = 1, the contract [run_batched]
-   documents. *)
-let batched_equivalence =
-  let load r node =
-    List.iter
-      (fun plane ->
-        Nsc_sim.Node.load_array node ~plane ~base:0
-          (Array.init 80 (fun i ->
-               Float.of_int ((plane * 17) + (i * (r + 1)) + (r * 29)) /. 6.0)))
-      (List.init 16 (fun p -> p))
-  in
-  let observe node (r : Nsc_sim.Engine.result) =
-    let mem =
-      List.map
-        (fun plane -> Nsc_sim.Node.dump_array node ~plane ~base:0 ~len:80)
-        (List.init 16 (fun p -> p))
-    in
-    ( mem,
-      List.sort compare r.Nsc_sim.Engine.last_values,
-      r.Nsc_sim.Engine.cycles,
-      r.Nsc_sim.Engine.flops,
-      r.Nsc_sim.Engine.writes,
-      r.Nsc_sim.Engine.events )
-  in
-  [
-    qcheck ~count:50 "a K-replica batch is bit-identical to K sequential runs"
-      Gen.(pair valid_pipeline_gen (int_range 1 4))
-      (fun (pl, k) ->
-        let sem, _ = Semantic.of_pipeline params pl in
-        let kn = Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem) in
-        let nodes () =
-          Array.init k (fun r ->
-              let node = Nsc_sim.Node.create params in
-              load r node;
-              node)
-        in
-        let solo_nodes = nodes () in
-        let solo =
-          Array.mapi
-            (fun _ node -> observe node (Nsc_sim.Engine.run_kernel node kn))
-            solo_nodes
-        in
-        let batched domains =
-          let batch_nodes = nodes () in
-          let results = Nsc_sim.Engine.run_batched batch_nodes ~domains kn in
-          Array.mapi (fun r res -> observe batch_nodes.(r) res) results
-        in
-        batched 1 = solo && batched 2 = solo);
-    qcheck ~count:40 "a single-replica batch under seeded faults matches run_kernel"
-      valid_pipeline_gen
-      (fun pl ->
-        let sem, _ = Semantic.of_pipeline params pl in
-        let kn = Nsc_sim.Kernel.compile (Nsc_sim.Plan.compile params sem) in
-        let module F = Nsc_fault.Fault in
-        let spec =
-          match F.parse "fu-fault:p=0.05,dma-stall:p=0.05" with
-          | Ok s -> s
-          | Error e -> failwith e
-        in
-        let faulted exec =
-          F.install (F.make ~seed:41 spec);
-          Fun.protect ~finally:F.clear (fun () ->
-              let node = Nsc_sim.Node.create params in
-              load 0 node;
-              observe node (exec node))
-        in
-        faulted (fun node -> Nsc_sim.Engine.run_kernel node kn)
-        = faulted (fun node -> (Nsc_sim.Engine.run_batched [| node |] kn).(0)));
-  ]
-
-let suite = suite @ [ ("property:batched-equivalence", batched_equivalence) ]

@@ -755,8 +755,7 @@ let suite = suite @ [ ("sim:async-exchange", async_exchange_tests) ]
 (* appended: the v3 kernel backend — agreement with the general
    evaluator under faults, the Bigarray buffer pool's edge cases (reuse,
    zero-length buffers, dirty returns feeding the pad-zeroing path),
-   constant interning, pass-through elision, and batched replica
-   execution *)
+   constant interning and pass-through elision *)
 let kernel_v3_tests =
   let jacobi_kernel ~index =
     let b =
@@ -868,41 +867,59 @@ let kernel_v3_tests =
               body.Kernel.units;
             check_int "every copy unit elided" (Array.length body.Kernel.units)
               !elided);
-    case "batched replicas converge independently and match solo solves"
-      (fun () ->
+  ]
+
+let suite = suite @ [ ("sim:kernel-v3", kernel_v3_tests) ]
+
+(* appended: independent solves of one program that share one
+   plan/kernel cache pair — the second and later solves compile nothing
+   and every result is bit-identical to a solve on fresh caches *)
+let cache_pair_tests =
+  [
+    case "three data sets reuse one compile and match fresh-cache solves" (fun () ->
         let base = Nsc_apps.Poisson.manufactured 5 in
         let scaled c =
           { base with
             Nsc_apps.Poisson.f = Array.map (( *. ) c) base.Nsc_apps.Poisson.f }
         in
         let probs = [| base; scaled 100.0; scaled 0.01 |] in
-        let br0 = Stats.batch_runs () and bf0 = Stats.batch_fallbacks () in
-        let batch =
-          Result.get_ok (Nsc_apps.Jacobi.solve_batch kb probs ~tol:1e-4 ~max_iters:200)
+        let plan_cache = Plan.make_cache () and kernel_cache = Kernel.make_cache () in
+        let shared =
+          Array.mapi
+            (fun r prob ->
+              let k0 = Stats.kernel_compiles () in
+              let o =
+                Result.get_ok
+                  (Nsc_apps.Jacobi.solve kb ~plan_cache ~kernel_cache prob
+                     ~tol:1e-4 ~max_iters:200)
+              in
+              let compiles = Stats.kernel_compiles () - k0 in
+              (* one program, three data sets: only the first solve compiles *)
+              if r = 0 then check_bool "first solve compiles" true (compiles > 0)
+              else check_int "later solves reuse every kernel" 0 compiles;
+              o)
+            probs
         in
-        check_bool "batched instructions ran" true (Stats.batch_runs () > br0);
-        check_int "no general-evaluator fallbacks" 0
-          (Stats.batch_fallbacks () - bf0);
         Array.iteri
           (fun r prob ->
-            let solo =
+            let fresh =
               Result.get_ok (Nsc_apps.Jacobi.solve kb prob ~tol:1e-4 ~max_iters:200)
             in
-            check_int "sweeps" solo.Nsc_apps.Jacobi.sweeps
-              batch.(r).Nsc_apps.Jacobi.sweeps;
+            check_int "sweeps" fresh.Nsc_apps.Jacobi.sweeps
+              shared.(r).Nsc_apps.Jacobi.sweeps;
             check_bool "fields" true
-              (batch.(r).Nsc_apps.Jacobi.u = solo.Nsc_apps.Jacobi.u);
+              (shared.(r).Nsc_apps.Jacobi.u = fresh.Nsc_apps.Jacobi.u);
             check_bool "residual bits" true
-              (Int64.bits_of_float batch.(r).Nsc_apps.Jacobi.final_change
-              = Int64.bits_of_float solo.Nsc_apps.Jacobi.final_change))
+              (Int64.bits_of_float shared.(r).Nsc_apps.Jacobi.final_change
+              = Int64.bits_of_float fresh.Nsc_apps.Jacobi.final_change))
           probs;
-        (* the 100x load must cost extra sweeps, or the divergence
-           handling was never exercised *)
-        check_bool "replicas diverge" true
-          (batch.(0).Nsc_apps.Jacobi.sweeps <> batch.(1).Nsc_apps.Jacobi.sweeps));
+        (* the 100x load must cost extra sweeps, or the cached while-loop
+           exit was only ever exercised at one trip count *)
+        check_bool "sweep counts diverge" true
+          (shared.(0).Nsc_apps.Jacobi.sweeps <> shared.(1).Nsc_apps.Jacobi.sweeps));
   ]
 
-let suite = suite @ [ ("sim:kernel-v3", kernel_v3_tests) ]
+let suite = suite @ [ ("sim:cache-pair-across-solves", cache_pair_tests) ]
 
 (* appended: whole programs beyond Jacobi on the general oracle — the
    12-instruction two-grid multigrid program (nested repeats) and the

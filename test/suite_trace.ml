@@ -6,7 +6,7 @@
 open Util
 open Nsc_diagram
 module Trace = Nsc_trace.Trace
-module Json = Nsc_trace.Json
+module Json = Nsc_metrics.Json
 
 let with_tracing f =
   Trace.reset ();
