@@ -154,6 +154,21 @@ type scaling_perf = {
 
 let scaling_perf_result : scaling_perf option ref = ref None
 
+(* Encode and decode cost per instruction of one program.  Words are
+   minor-heap words allocated per instruction, deterministic for a given
+   build; microseconds are best-of-[microcode_reps] and informative only. *)
+type microcode_cost = {
+  mc_program : string;
+  mc_instructions : int;
+  mc_encode_words : float;
+  mc_decode_words : float;
+  mc_encode_us : float;
+  mc_decode_us : float;
+}
+
+let microcode_reps = 200
+let microcode_perf_result : microcode_cost list ref = ref []
+
 let write_bench_json path =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -302,6 +317,22 @@ let write_bench_json path =
             (if i = List.length s.sc_points - 1 then "" else ","))
         s.sc_points;
       out "    ]\n";
+      out "  }");
+  (match !microcode_perf_result with
+  | [] -> ()
+  | costs ->
+      out ",\n  \"microcode\": {\n";
+      out "    \"timing_reps\": %d,\n" microcode_reps;
+      List.iteri
+        (fun i c ->
+          out
+            "    %S: {\"instructions\": %d, \"encode_words_per_instr\": %.1f, \
+             \"decode_words_per_instr\": %.1f, \"encode_us_per_instr\": %.3f, \
+             \"decode_us_per_instr\": %.3f}%s\n"
+            c.mc_program c.mc_instructions c.mc_encode_words c.mc_decode_words
+            c.mc_encode_us c.mc_decode_us
+            (if i = List.length costs - 1 then "" else ","))
+        costs;
       out "  }");
   out "\n}\n";
   close_out oc
@@ -674,6 +705,70 @@ let c5_microcode () =
         (List.length c.Nsc_microcode.Codegen.instructions)
         (Nsc_microcode.Codegen.code_bits c)
   | Error _ -> failwith "codegen"
+
+(* ------------------------------------------------------------------ *)
+(* MICRO: encode and decode cost per instruction                       *)
+(* ------------------------------------------------------------------ *)
+
+let microcode_cost name (prog : Program.t) =
+  let c =
+    match Nsc_microcode.Codegen.compile kb prog with Ok c -> c | Error _ -> failwith "codegen"
+  in
+  let layout = c.Nsc_microcode.Codegen.layout in
+  let n = List.length c.Nsc_microcode.Codegen.instructions in
+  let encode_all () =
+    List.iter
+      (fun sem -> ignore (Nsc_microcode.Encode.encode layout sem))
+      c.Nsc_microcode.Codegen.semantics
+  in
+  let decode_all () =
+    List.iter
+      (fun (i : Nsc_microcode.Encode.instruction) ->
+        match Nsc_microcode.Decode.decode layout i.Nsc_microcode.Encode.word with
+        | Ok _ -> ()
+        | Error e -> failwith ("decode: " ^ e))
+      c.Nsc_microcode.Codegen.instructions
+  in
+  let per_instr x = x /. float_of_int n in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    per_instr (Gc.minor_words () -. w0)
+  in
+  let best_us f =
+    let best = ref infinity in
+    for _ = 1 to microcode_reps do
+      let t0 = Unix.gettimeofday () in
+      f ();
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    per_instr (!best *. 1e6)
+  in
+  let cost =
+    {
+      mc_program = name;
+      mc_instructions = n;
+      mc_encode_words = words encode_all;
+      mc_decode_words = words decode_all;
+      mc_encode_us = best_us encode_all;
+      mc_decode_us = best_us decode_all;
+    }
+  in
+  row "%-16s %3d instr  encode %7.1f words %6.2f us  decode %7.1f words %6.2f us\n" name n
+    cost.mc_encode_words cost.mc_encode_us cost.mc_decode_words cost.mc_decode_us;
+  cost
+
+let microcode_perf () =
+  section "MICRO" "microcode encode/decode cost per instruction (minor words, best us)";
+  let jacobi = Jacobi.build kb (Grid.cube 9) ~tol:1e-6 ~max_iters:10 in
+  (* the larger grid and cycle shape of the multigrid_1d workload *)
+  let multigrid =
+    Multigrid.build kb (Multigrid.grid1 257) ~cycles:4 ~nu1:2 ~nu2:2 ~nu_coarse:20
+  in
+  let jacobi_cost = microcode_cost "jacobi_n9" jacobi.Jacobi.program in
+  let multigrid_cost = microcode_cost "multigrid_n257" multigrid.Multigrid.program in
+  microcode_perf_result := [ jacobi_cost; multigrid_cost ]
 
 (* ------------------------------------------------------------------ *)
 (* C6: authoring-effort comparison across the three routes             *)
@@ -1803,6 +1898,7 @@ let () =
   c4_scaling ~domains ();
   scaling_campaign ~domains ();
   c5_microcode ();
+  microcode_perf ();
   c6_authoring ();
   c7_checker ();
   c8_debugger ();

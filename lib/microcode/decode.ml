@@ -8,162 +8,168 @@
 open Nsc_arch
 open Nsc_diagram
 
-let decode_binding (layout : Fields.t) word ~g ~port_name : Fu_config.input_binding =
-  let f name = Printf.sprintf "fu%d.%s" g name in
-  let src = Fields.get layout word (f ("src_" ^ port_name)) in
-  if src = Fields.src_unbound then Fu_config.Unbound
-  else if src = Fields.src_switch then Fu_config.From_switch
-  else if src = Fields.src_chain then Fu_config.From_chain
-  else if src = Fields.src_const then
-    Fu_config.From_constant (Fields.get_float layout word (f "const_val"))
-  else if src = Fields.src_feedback then
-    Fu_config.From_feedback (Fields.get layout word (f ("fb_" ^ port_name)))
-  else Fu_config.Unbound
+(* An operand binding; [Error] carries an undefined source code. *)
+let decode_binding word (f : Fields.fu_fields) ~src ~fb =
+  let code = Fields.read word src in
+  if code = Fields.src_unbound then Ok Fu_config.Unbound
+  else if code = Fields.src_switch then Ok Fu_config.From_switch
+  else if code = Fields.src_chain then Ok Fu_config.From_chain
+  else if code = Fields.src_const then
+    Ok (Fu_config.From_constant (Fields.read_float word f.Fields.const_val))
+  else if code = Fields.src_feedback then Ok (Fu_config.From_feedback (Fields.read word fb))
+  else Error code
+
+(* The control of unit [g], whose opcode field holds [op]. *)
+let decode_unit word (f : Fields.fu_fields) g op : (Semantic.unit_program, string) result =
+  match
+    ( decode_binding word f ~src:f.Fields.src_a ~fb:f.Fields.fb_a,
+      decode_binding word f ~src:f.Fields.src_b ~fb:f.Fields.fb_b )
+  with
+  | Error code, _ | _, Error code ->
+      Error (Printf.sprintf "unit %d: undefined operand source %d" g code)
+  | Ok a, Ok b ->
+      (* the one inline constant is exposed on exactly the port bound to it *)
+      let expected =
+        match (a, b) with
+        | Fu_config.From_constant _, Fu_config.From_constant _ -> None
+        | Fu_config.From_constant _, _ -> Some Fields.const_a
+        | _, Fu_config.From_constant _ -> Some Fields.const_b
+        | _ -> Some Fields.const_none
+      in
+      let port = Fields.read word f.Fields.const_port in
+      if expected <> Some port then
+        Error
+          (Printf.sprintf
+             "unit %d: constant port %d does not name the operand bound to a constant" g port)
+      else
+        Ok
+          {
+            Semantic.fu = f.Fields.fu;
+            op;
+            a;
+            b;
+            delay_a = Fields.read word f.Fields.delay_a;
+            delay_b = Fields.read word f.Fields.delay_b;
+          }
 
 (** Decode a microinstruction.  Fails with [Error] on a bad magic number or
-    an opcode the machine does not define. *)
+    on any field holding a code the encoder never writes: an undefined
+    opcode, operand source, bypass, switch source or shift/delay mode, or
+    a constant port that does not name exactly the operand bound to the
+    inline constant.  The error reported is the first in layout order. *)
 let decode (layout : Fields.t) (word : Word.t) : (Semantic.t, string) result =
   let p = layout.Fields.params in
-  if Fields.get layout word "hdr.magic" <> Encode.magic then
+  let read = Fields.read word in
+  let hdr = layout.Fields.header in
+  if read hdr.Fields.magic <> Encode.magic then
     Error "bad magic number: not an NSC microinstruction"
   else begin
-    let index = Fields.get layout word "hdr.index" in
-    let vlen = Fields.get layout word "hdr.vlen" in
-    let errors = ref [] in
-    (* units *)
-    let units =
-      List.filter_map
-        (fun fu ->
-          let g = Resource.fu_global_index p fu in
-          let f name = Printf.sprintf "fu%d.%s" g name in
-          match Fields.get layout word (f "op") with
-          | 0 -> None
-          | code -> (
-              match Opcode.of_code code with
-              | None ->
-                  errors := Printf.sprintf "unit %d: undefined opcode %d" g code :: !errors;
-                  None
-              | Some op ->
-                  Some
-                    {
-                      Semantic.fu;
-                      op;
-                      a = decode_binding layout word ~g ~port_name:"a";
-                      b = decode_binding layout word ~g ~port_name:"b";
-                      delay_a = Fields.get layout word (f "delay_a");
-                      delay_b = Fields.get layout word (f "delay_b");
-                    }))
-        (Resource.all_fus p)
-    in
+    let error = ref None in
+    let fail m = if Option.is_none !error then error := Some m in
+    (* sections are collected in reverse; [Encode.normalize] sorts them *)
+    let units = ref [] in
+    Array.iteri
+      (fun g (f : Fields.fu_fields) ->
+        match read f.Fields.op with
+        | 0 -> ()
+        | code -> (
+            match Opcode.of_code code with
+            | None -> fail (Printf.sprintf "unit %d: undefined opcode %d" g code)
+            | Some op -> (
+                match decode_unit word f g op with
+                | Ok u -> units := u :: !units
+                | Error m -> fail m)))
+      layout.Fields.fus;
     (* bypasses: engaged ALSs plus any ALS with an explicit bypass *)
-    let bypasses =
-      List.filter_map
-        (fun als ->
-          let code = Fields.get layout word (Printf.sprintf "als%d.bypass" als) in
-          match Fields.bypass_of_code code with
-          | None ->
-              errors := Printf.sprintf "ALS%d: undefined bypass code %d" als code :: !errors;
-              None
-          | Some bypass ->
-              let engaged =
-                List.exists
-                  (fun (u : Semantic.unit_program) -> u.Semantic.fu.Resource.als = als)
-                  units
-              in
-              if engaged || not (Als.equal_bypass bypass Als.No_bypass) then
-                Some (als, bypass)
-              else None)
-        (Resource.all_als p)
-    in
+    let bypasses = ref [] in
+    Array.iteri
+      (fun als f ->
+        let code = read f in
+        match Fields.bypass_of_code code with
+        | None -> fail (Printf.sprintf "ALS%d: undefined bypass code %d" als code)
+        | Some bypass ->
+            let engaged =
+              List.exists
+                (fun (u : Semantic.unit_program) -> u.Semantic.fu.Resource.als = als)
+                !units
+            in
+            if engaged || not (Als.equal_bypass bypass Als.No_bypass) then
+              bypasses := (als, bypass) :: !bypasses)
+      layout.Fields.bypass;
     (* switch section *)
-    let kb = Knowledge.make_exn p in
-    let routes =
-      List.filter_map
-        (fun snk ->
-          let code = Fields.get layout word ("snk." ^ Resource.sink_to_string snk) in
-          if code = 0 then None
-          else
+    let routes = ref [] in
+    Array.iter
+      (fun (snk, f) ->
+        match read f with
+        | 0 -> ()
+        | code -> (
             match Resource.source_of_code p code with
-            | Some src -> Some { Switch.src; snk }
+            | Some src -> routes := { Switch.src; snk } :: !routes
             | None ->
-                errors :=
-                  Printf.sprintf "sink %s: undefined source code %d"
-                    (Resource.sink_to_string snk) code
-                  :: !errors;
-                None)
-        (Knowledge.all_sinks kb)
-    in
+                fail
+                  (Printf.sprintf "sink %s: undefined source code %d"
+                     (Resource.sink_to_string snk) code)))
+      layout.Fields.sinks;
     (* DMA section *)
-    let streams =
-      let of_engine tag channel slot =
-        let f name = Printf.sprintf "dma.%s.e%d.%s" tag slot name in
-        if Fields.get layout word (f "active") = 0 then None
-        else begin
-          let direction = if Fields.get layout word (f "dir") = 0 then Dma.Read else Dma.Write in
-          let transfer =
-            {
-              Dma.channel;
-              direction;
-              base = Fields.get layout word (f "base");
-              stride = Fields.get_signed layout word (f "stride");
-              count = Fields.get layout word (f "count");
-            }
-          in
-          let engine =
-            match (direction, channel) with
-            | Dma.Read, Dma.Plane pl -> `Read (Resource.Src_memory (pl, slot))
-            | Dma.Read, Dma.Cache_chan c -> `Read (Resource.Src_cache (c, slot))
-            | Dma.Write, Dma.Plane pl -> `Write (Resource.Snk_memory (pl, slot))
-            | Dma.Write, Dma.Cache_chan c -> `Write (Resource.Snk_cache (c, slot))
-          in
-          Some { Semantic.transfer; engine }
-        end
-      in
-      List.concat_map
-        (fun pl ->
-          List.filter_map
-            (fun slot -> of_engine (Printf.sprintf "plane%d" pl) (Dma.Plane pl) slot)
-            (List.init p.plane_dma_slots (fun e -> e)))
-        (List.init p.n_memory_planes (fun i -> i))
-      @ List.concat_map
-          (fun c ->
-            List.filter_map
-              (fun slot -> of_engine (Printf.sprintf "cache%d" c) (Dma.Cache_chan c) slot)
-              (List.init p.cache_dma_slots (fun e -> e)))
-          (List.init p.n_caches (fun i -> i))
+    let streams = ref [] in
+    let engines engines channel_of =
+      Array.iteri
+        (fun i slots ->
+          Array.iteri
+            (fun slot (e : Fields.dma_fields) ->
+              if read e.Fields.active <> 0 then begin
+                let channel = channel_of i in
+                let direction = if read e.Fields.dir = 0 then Dma.Read else Dma.Write in
+                let transfer =
+                  {
+                    Dma.channel;
+                    direction;
+                    base = read e.Fields.base;
+                    stride = Fields.read_signed word e.Fields.stride;
+                    count = read e.Fields.count;
+                  }
+                in
+                let engine =
+                  match (direction, channel) with
+                  | Dma.Read, Dma.Plane pl -> `Read (Resource.Src_memory (pl, slot))
+                  | Dma.Read, Dma.Cache_chan c -> `Read (Resource.Src_cache (c, slot))
+                  | Dma.Write, Dma.Plane pl -> `Write (Resource.Snk_memory (pl, slot))
+                  | Dma.Write, Dma.Cache_chan c -> `Write (Resource.Snk_cache (c, slot))
+                in
+                streams := { Semantic.transfer; engine } :: !streams
+              end)
+            slots)
+        engines
     in
+    engines layout.Fields.planes (fun pl -> Dma.Plane pl);
+    engines layout.Fields.caches (fun c -> Dma.Cache_chan c);
     (* shift/delay section *)
-    let sds =
-      List.filter_map
-        (fun s ->
-          let f name = Printf.sprintf "sd%d.%s" s name in
-          let mode = Fields.get layout word (f "mode") in
-          if mode = Fields.sd_off then None
-          else
-            let amount = Fields.get_signed layout word (f "amount") in
-            if mode = Fields.sd_delay then
-              Some { Semantic.sd = s; mode = Shift_delay.Delay amount }
-            else if mode = Fields.sd_shift then
-              Some { Semantic.sd = s; mode = Shift_delay.Shift amount }
-            else begin
-              errors := Printf.sprintf "sd%d: undefined mode %d" s mode :: !errors;
-              None
-            end)
-        (List.init p.n_shift_delay (fun s -> s))
-    in
-    match !errors with
-    | e :: _ -> Error e
-    | [] ->
+    let sds = ref [] in
+    Array.iteri
+      (fun s (f : Fields.sd_fields) ->
+        let mode = read f.Fields.mode in
+        if mode <> Fields.sd_off then begin
+          let amount = Fields.read_signed word f.Fields.amount in
+          if mode = Fields.sd_delay then
+            sds := { Semantic.sd = s; mode = Shift_delay.Delay amount } :: !sds
+          else if mode = Fields.sd_shift then
+            sds := { Semantic.sd = s; mode = Shift_delay.Shift amount } :: !sds
+          else fail (Printf.sprintf "sd%d: undefined mode %d" s mode)
+        end)
+      layout.Fields.sds;
+    match !error with
+    | Some e -> Error e
+    | None ->
         Ok
           (Encode.normalize
              {
-               Semantic.index;
+               Semantic.index = read hdr.Fields.index;
                label = "";
-               vector_length = vlen;
-               bypasses;
-               units;
-               sds;
-               routes;
-               streams;
+               vector_length = read hdr.Fields.vlen;
+               bypasses = !bypasses;
+               units = !units;
+               sds = !sds;
+               routes = !routes;
+               streams = !streams;
              })
   end

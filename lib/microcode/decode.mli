@@ -3,17 +3,13 @@
     Decoding is the inverse of {!Encode.encode} up to
     {!Encode.normalize}; the round trip is enforced by property tests and
     gives confidence that the generated machine code means what the diagram
-    said. *)
+    said.  A field holding a code the encoder never writes is refused
+    rather than read as something else. *)
 
-(* Interface generated from the implementation; detailed
-   documentation lives on the items in the .ml file. *)
-
-(** Disassemble a word back to (normalised) semantic structures; fails
-    on a bad magic number or undefined opcodes. *)
-val decode_binding :
-  Fields.t ->
-  Word.t ->
-  g:int -> port_name:string -> Nsc_diagram.Fu_config.input_binding
+(** Disassemble a word back to (normalised) semantic structures; fails on
+    a bad magic number or on any undefined code (opcode, operand source,
+    constant port, bypass, switch source, shift/delay mode).  Every field
+    is read through the layout's records. *)
 val decode :
   Fields.t ->
   Word.t -> (Nsc_diagram.Semantic.t, string) result

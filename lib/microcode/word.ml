@@ -3,7 +3,13 @@
     An NSC instruction "requires a few thousand bits of information ...
     encoded in dozens of separate fields".  This module implements the raw
     bit container: a fixed-width bit vector with arbitrary-offset field
-    access of up to 64 bits, plus hex dumps for listings. *)
+    access of up to 64 bits, plus hex dumps for listings.
+
+    Bits are numbered little-endian: bit [i] is bit [i land 7] of byte
+    [i lsr 3].  A field is read and written whole — one 64-bit load or
+    store where eight bytes from its first byte lie inside the word, else
+    byte by byte over the word's tail — never bit by bit.  Bits past
+    [width] in the last byte are always zero. *)
 
 type t = { bits : int; bytes : Bytes.t }
 
@@ -27,35 +33,101 @@ let set_bit t i v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set t.bytes (i lsr 3) (Char.chr byte)
 
+(* Fields of at most [small] bits are moved in one native [int]: with the
+   [offset land 7] shift within their first byte they stay below bit 62,
+   so every intermediate is a non-negative [int].  Wider fields (the
+   64-bit inline constant) go as two halves. *)
+let small = 55
+
+(* Unchecked read of a field of [width <= small] bits: one little-endian
+   64-bit load when the eight bytes from the field's first byte lie inside
+   the word, otherwise byte by byte over the word's tail (a word is not a
+   multiple of eight bytes long, so the load must not overrun). *)
+let read_small bytes offset width =
+  let b = offset lsr 3 in
+  let len = Bytes.length bytes in
+  let raw =
+    if b + 8 <= len then Int64.to_int (Bytes.get_int64_le bytes b)
+    else begin
+      let acc = ref 0 in
+      for k = len - 1 downto b do
+        acc := (!acc lsl 8) lor Bytes.get_uint8 bytes k
+      done;
+      !acc
+    end
+  in
+  (raw lsr (offset land 7)) land ((1 lsl width) - 1)
+
+(* Unchecked write of [v] (already known to fit) into a field of
+   [width <= small] bits, leaving every other bit of the word as it was. *)
+let write_small bytes offset width v =
+  let b = offset lsr 3 and s = offset land 7 in
+  let len = Bytes.length bytes in
+  let mask = ((1 lsl width) - 1) lsl s and v = v lsl s in
+  if b + 8 <= len then begin
+    let old = Bytes.get_int64_le bytes b in
+    Bytes.set_int64_le bytes b
+      (Int64.logor
+         (Int64.logand old (Int64.lognot (Int64.of_int mask)))
+         (Int64.of_int v))
+  end
+  else
+    for k = b to len - 1 do
+      let sh = 8 * (k - b) in
+      let m = (mask lsr sh) land 0xff in
+      if m <> 0 then
+        Bytes.set_uint8 bytes k
+          ((Bytes.get_uint8 bytes k land lnot m) lor ((v lsr sh) land m))
+    done
+
+let check_get t ~offset ~width =
+  if width < 1 || width > 64 then invalid_arg "Word.get: width";
+  if offset < 0 || offset + width > t.bits then invalid_arg "Word.get: range"
+
+let check_set t ~offset ~width =
+  if width < 1 || width > 64 then invalid_arg "Word.set: width";
+  if offset < 0 || offset + width > t.bits then invalid_arg "Word.set: range"
+
+let does_not_fit v width =
+  invalid_arg (Printf.sprintf "Word.set: value %Ld does not fit in %d bits" v width)
+
 (** Read [width] bits starting at [offset] as an unsigned Int64
     (little-endian bit order within the word). *)
 let get t ~offset ~width : int64 =
-  if width < 1 || width > 64 then invalid_arg "Word.get: width";
-  if offset < 0 || offset + width > t.bits then invalid_arg "Word.get: range";
-  let v = ref 0L in
-  for i = width - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int (get_bit t (offset + i)))
-  done;
-  !v
+  check_get t ~offset ~width;
+  if width <= small then Int64.of_int (read_small t.bytes offset width)
+  else
+    Int64.logor
+      (Int64.of_int (read_small t.bytes offset 32))
+      (Int64.shift_left (Int64.of_int (read_small t.bytes (offset + 32) (width - 32))) 32)
 
 (** Write [width] bits of [v] at [offset]; excess high bits of [v] must be
     zero. *)
 let set t ~offset ~width (v : int64) =
-  if width < 1 || width > 64 then invalid_arg "Word.set: width";
-  if offset < 0 || offset + width > t.bits then invalid_arg "Word.set: range";
-  if width < 64 && Int64.shift_right_logical v width <> 0L then
-    invalid_arg
-      (Printf.sprintf "Word.set: value %Ld does not fit in %d bits" v width);
-  for i = 0 to width - 1 do
-    set_bit t (offset + i)
-      (Int64.logand (Int64.shift_right_logical v i) 1L = 1L)
-  done
+  check_set t ~offset ~width;
+  if width < 64 && Int64.shift_right_logical v width <> 0L then does_not_fit v width;
+  if width <= small then write_small t.bytes offset width (Int64.to_int v)
+  else begin
+    write_small t.bytes offset 32 (Int64.to_int (Int64.logand v 0xFFFF_FFFFL));
+    write_small t.bytes (offset + 32) (width - 32)
+      (Int64.to_int (Int64.shift_right_logical v 32))
+  end
 
-let get_int t ~offset ~width = Int64.to_int (get t ~offset ~width)
+let get_int t ~offset ~width =
+  if width <= small then begin
+    check_get t ~offset ~width;
+    read_small t.bytes offset width
+  end
+  else Int64.to_int (get t ~offset ~width)
 
 let set_int t ~offset ~width v =
   if v < 0 then invalid_arg "Word.set_int: negative";
-  set t ~offset ~width (Int64.of_int v)
+  if width <= small then begin
+    check_set t ~offset ~width;
+    if v lsr width <> 0 then does_not_fit (Int64.of_int v) width;
+    write_small t.bytes offset width v
+  end
+  else set t ~offset ~width (Int64.of_int v)
 
 (** Signed access with excess-2^(w-1) bias (used for strides/offsets). *)
 let get_signed t ~offset ~width =

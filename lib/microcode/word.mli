@@ -3,7 +3,13 @@
     An NSC instruction "requires a few thousand bits of information ...
     encoded in dozens of separate fields".  This module implements the raw
     bit container: a fixed-width bit vector with arbitrary-offset field
-    access of up to 64 bits, plus hex dumps for listings. *)
+    access of up to 64 bits, plus hex dumps for listings.
+
+    Bits are numbered little-endian: bit [i] is bit [i land 7] of byte
+    [i lsr 3].  A field is read and written whole — one 64-bit load or
+    store where eight bytes from its first byte lie inside the word, else
+    byte by byte over the word's tail — never bit by bit.  Bits past
+    [width] in the last byte are always zero. *)
 
 (* Interface generated from the implementation; detailed
    documentation lives on the items in the .ml file. *)
