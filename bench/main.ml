@@ -1183,7 +1183,7 @@ let perf_engine () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* TRACE: the instrument's counters and its disabled-path budget       *)
+(* TRACE: run counters and the disabled-path budget                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The <2% budget for the disabled path cannot be read off two wall-clock
@@ -1194,8 +1194,7 @@ let perf_engine () =
    disabled runtime.  The measured enabled/disabled seconds are reported
    alongside for the honest end-to-end picture. *)
 let trace_overhead () =
-  section "TRACE" "trace instrument: run counters and the disabled-path budget";
-  let module T = Nsc_trace.Trace in
+  section "TRACE" "run counters and the disabled-path budget";
   let prob = Poisson.manufactured 9 in
   let solve () =
     match Jacobi.solve kb prob ~tol:1e-6 ~max_iters:4000 with
@@ -1207,26 +1206,26 @@ let trace_overhead () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  T.disable ();
-  T.reset ();
-  (* cost of one disabled instrumentation site: the flag read + branch *)
+  let ctx = Metrics.create ~label:"bench-trace" () in
+  (* cost of one disabled instrumentation site, written as the library
+     writes it: the [Metrics.recording] gate, one atomic read + branch
+     while no context is enabled *)
   let gate_ns =
     let probe =
-      T.counter ~name:"bench.gate_probe" ~units:"calls"
+      Metrics.counter ~name:"bench.gate_probe" ~units:"calls"
         ~desc:"disabled-path timing probe (bench only)"
     in
     let n = 20_000_000 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to n do
-      T.add probe 1
+      if Metrics.recording () then Metrics.add (Metrics.current ()) probe 1
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
   in
   let disabled_seconds, o_off = time solve in
-  T.reset ();
-  T.enable ();
-  let enabled_seconds, o_on = time solve in
-  T.disable ();
+  Metrics.enable ctx;
+  let enabled_seconds, o_on = time (fun () -> Metrics.with_ctx ctx solve) in
+  Metrics.disable ctx;
   if
     o_off.Jacobi.sweeps <> o_on.Jacobi.sweeps
     || o_off.Jacobi.final_change <> o_on.Jacobi.final_change
@@ -1236,16 +1235,18 @@ let trace_overhead () =
      instant.  Gates guarding several bumps at once are counted per bump,
      so the projection over-counts — a conservative upper bound. *)
   let sites =
-    T.total_bumps ()
-    + Metrics.total_observations Metrics.default
-    + List.length (T.events ())
-    + T.dropped ()
+    Metrics.total_bumps ctx
+    + Metrics.total_observations ctx
+    + List.length (Metrics.events ctx)
+    + Metrics.dropped ctx
   in
   let projected_pct =
     float_of_int sites *. gate_ns /. (disabled_seconds *. 1e9) *. 100.0
   in
   let counters =
-    List.map (fun c -> (T.name c, T.value c, T.units c)) (T.counters ())
+    List.map
+      (fun c -> (Metrics.counter_name c, Metrics.value ctx c, Metrics.counter_units c))
+      (Metrics.registered_counters ())
   in
   row "repeated-sweep Jacobi, n=9, tol 1e-6 (%d sweeps):\n" o_on.Jacobi.sweeps;
   row "  tracing disabled           : %8.3f s host time\n" disabled_seconds;
@@ -1270,18 +1271,16 @@ let trace_overhead () =
         instrumentation_sites = sites;
         projected_overhead_pct = projected_pct;
         trace_counter_values = counters;
-      };
-  T.reset ()
+      }
 
 (* ------------------------------------------------------------------ *)
 (* PROFILE: the hotspot view in a scoped metric context                *)
 (* ------------------------------------------------------------------ *)
 
-(* Same n=9 solve, but isolated in its own metric context — nothing
-   touches the global instrument — and read back through the profile
-   layer: exec-latency percentiles, the per-unit hotspot table, and the
-   same disabled-path projection now covering histogram and attribution
-   observations too. *)
+(* Same n=9 solve, in its own metric context, read back through the
+   profile layer: exec-latency percentiles, the per-unit hotspot table,
+   and the same disabled-path projection now covering histogram and
+   attribution observations too. *)
 let profile_hotspots () =
   section "PROFILE" "hotspot profile in a scoped metric context (n=9 Jacobi)";
   let prob = Poisson.manufactured 9 in
@@ -1296,8 +1295,8 @@ let profile_hotspots () =
     (Unix.gettimeofday () -. t0, r)
   in
   let ctx = Metrics.create ~label:"bench-profile" () in
-  (* one disabled site against a scoped context: the same flag read and
-     branch as the global instrument's gate *)
+  (* one disabled site against a scoped context: the context's own flag
+     read and branch *)
   let gate_ns =
     let probe =
       Metrics.counter ~name:"bench.gate_probe" ~units:"calls"
@@ -1341,7 +1340,7 @@ let profile_hotspots () =
   row "  top hotspot                : %s %s — %d cycles, %.1f MFLOPS (%.1f%% of peak)\n"
     top.Stats.hs_instr top.Stats.hs_unit top.Stats.hs_share_cycles
     top.Stats.hs_mflops top.Stats.hs_peak_pct;
-  row "  global instrument          : untouched (%d bumps in the default context)\n"
+  row "  default context            : untouched (%d bumps)\n"
     (Metrics.total_bumps Metrics.default);
   row "  instrumentation sites      : %8d crossed while enabled\n" sites;
   row "  projected disabled overhead: %8.4f %% of the disabled solve\n" projected_pct;

@@ -304,23 +304,25 @@ let trace_out =
                trace-event JSON to $(docv) (loadable in Perfetto or chrome://tracing); \
                the counter summary is printed as well.")
 
-(* Run [f] under the trace instrument when [trace] names an output file.
-   Input loading happens before this, so the counters see exactly the
-   execution; the JSON export and the printed digest both read the same
-   counter registry, so their totals always agree. *)
+(* Run [f] in a fresh enabled metric context when [trace] names an
+   output file.  Input loading happens before this, so the counters see
+   exactly the execution; the JSON export and the printed digest both
+   read that one context, so their totals always agree. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
   | Some out ->
-      Nsc_trace.Trace.reset ();
-      Nsc_trace.Trace.enable ();
-      f ();
-      Nsc_trace.Trace.disable ();
+      let module Metrics = Nsc_metrics.Metrics in
+      let ctx = Metrics.create ~label:"trace" () in
+      Metrics.enable ctx;
+      Fun.protect
+        ~finally:(fun () -> Metrics.disable ctx)
+        (fun () -> Metrics.with_ctx ctx f);
       let oc = open_out out in
-      output_string oc (Nsc_trace.Trace.to_chrome ());
+      output_string oc (Metrics.to_chrome ctx);
       close_out oc;
       Printf.printf "wrote %s\n" out;
-      print_string (Nsc_trace.Trace.summary ())
+      print_string (Metrics.summary ctx)
 
 let run_cmd =
   let loads =
@@ -610,11 +612,11 @@ let stats_cmd =
             exit 2)
       loads;
     (* the run gets its own metric context, isolated from everything else
-       in the process — the new-world form of reset/enable/disable *)
+       in the process *)
     let module Metrics = Nsc_metrics.Metrics in
     let ctx = Metrics.create ~label:"stats" () in
     Metrics.enable ctx;
-    (match Nsc_sim.Sequencer.run node ~metrics:ctx c with
+    (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node c) with
     | Error e ->
         prerr_endline ("run error: " ^ e);
         exit 1
@@ -691,7 +693,7 @@ let profile_cmd =
                 prerr_endline ("bad --load: " ^ s);
                 exit 2)
           loads;
-        (match Nsc_sim.Sequencer.run node ~metrics:ctx c with
+        (match Metrics.with_ctx ctx (fun () -> Nsc_sim.Sequencer.run node c) with
         | Error e ->
             prerr_endline ("run error: " ^ e);
             exit 1

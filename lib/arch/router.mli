@@ -52,7 +52,7 @@ val transfer_cycles :
     longer than the Hamming distance. *)
 val transfer_cycles_hops : Params.t -> hops:int -> words:int -> int
 
-(** Trace counter for serialisation delay on a shared source node;
-    bumped by the multi-node exchange when messages leaving one node
-    queue on its links. *)
-val c_contention : Nsc_trace.Trace.counter
+(** [router.contention_cycles]: serialisation delay on a shared source
+    node, bumped by the multi-node exchange when messages leaving one
+    node queue on its links. *)
+val c_contention : Nsc_metrics.Metrics.counter

@@ -35,12 +35,14 @@ type t = {
           illegal; feedback must use the register file *)
 }
 
-(* Global count of analyses performed.  The plan compiler promises to
-   analyse each instruction exactly once per compiled plan; tests and the
-   bench harness observe this counter to hold it to that. *)
-let analysis_runs = Atomic.make 0
+module Metrics = Nsc_metrics.Metrics
 
-let analysis_count () = Atomic.get analysis_runs
+(* Analyses performed in the ambient metric context.  The plan compiler
+   promises to analyse each instruction exactly once per compiled plan;
+   the tests read this counter to hold it to that. *)
+let c_analyses =
+  Metrics.counter ~name:"checker.analyses" ~units:"analyses"
+    ~desc:"pipeline timing analyses run (checker diagnostics and plan compiles)"
 
 let find_unit (sem : Semantic.t) fu = Semantic.unit_for sem fu
 
@@ -51,7 +53,7 @@ let sd_mode (sem : Semantic.t) sd =
 
 (** Analyse a semantic pipeline under parameters [p]. *)
 let analyse (p : Params.t) (sem : Semantic.t) : t =
-  Atomic.incr analysis_runs;
+  if Metrics.recording () then Metrics.add (Metrics.current ()) c_analyses 1;
   let lat = p.latencies in
   let memo : (Resource.fu_id, int) Hashtbl.t = Hashtbl.create 16 in
   let visiting : (Resource.fu_id, unit) Hashtbl.t = Hashtbl.create 16 in

@@ -31,10 +31,6 @@ val find_unit :
 val sd_mode :
   Nsc_diagram.Semantic.t ->
   Nsc_arch.Resource.sd_id -> Nsc_arch.Shift_delay.mode option
-(** Total number of {!analyse} calls made by this process so far — used to
-    assert that plan compilation analyses each instruction exactly once. *)
-val analysis_count : unit -> int
-
 (** Operand-arrival analysis of a semantic pipeline: when each stream
     reaches each engaged unit, which binary units see misaligned
     operands, the fill depth, and any combinational cycles. *)

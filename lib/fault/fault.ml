@@ -21,10 +21,10 @@
     recovered or unrecovered ({!outstanding} reports the difference, and
     the CLI refuses to let it stay non-zero).  The ledger counts always
     (it is the fault report's data source); the same values are mirrored
-    onto [fault.*] trace counters so they appear in trace digests and
+    onto [fault.*] metric counters so they appear in trace digests and
     Chrome exports alongside the rest of the machine's counters. *)
 
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 
 (* --- the fault specification ------------------------------------------- *)
 
@@ -149,15 +149,15 @@ let spec_to_string s =
 (* --- the ledger cells ---------------------------------------------------- *)
 
 (* A ledger cell is registered once, process-wide: its name, its slot in
-   every model's count array, and the [fault.*] trace counter its
+   every model's count array, and the [fault.*] metric counter its
    bookings are mirrored onto.  The counts themselves live in the model
    (below), so two domains running their own models never share one. *)
-type cell = { tc : Trace.counter; slot : int; cname : string }
+type cell = { tc : Metrics.counter; slot : int; cname : string }
 
 let cells : cell list ref = ref []
 
 let cell ~name ~units ~desc =
-  let c = { tc = Trace.counter ~name ~units ~desc; slot = List.length !cells; cname = name } in
+  let c = { tc = Metrics.counter ~name ~units ~desc; slot = List.length !cells; cname = name } in
   cells := c :: !cells;
   c
 
@@ -272,7 +272,7 @@ let clear () =
 let book m c n =
   if n > 0 then begin
     m.counts.(c.slot) <- m.counts.(c.slot) + n;
-    Trace.add c.tc n
+    if Metrics.recording () then Metrics.add (Metrics.current ()) c.tc n
   end
 
 (* A recovery layer's booking lands in this domain's model; with none
@@ -281,7 +281,7 @@ let book m c n =
 let bump c n =
   match active () with
   | Some m -> book m c n
-  | None -> if n > 0 then Trace.add c.tc n
+  | None -> if Metrics.recording () then Metrics.add (Metrics.current ()) c.tc n
 
 let value c = match active () with Some m -> m.counts.(c.slot) | None -> 0
 

@@ -1,9 +1,9 @@
-(** Scoped metric contexts: the registry state behind the trace facade.
+(** Scoped metric contexts: the one counter system of the simulator.
 
-    PR 2's instrument kept one process-global registry — fine for a
-    one-shot CLI, a blocker for anything multi-tenant (two concurrent
-    runs would bleed counters into each other).  This module splits the
-    instrument in two:
+    One process-global registry would be fine for a one-shot CLI and a
+    blocker for anything multi-tenant (two concurrent runs would bleed
+    counters into each other), so this module splits the instrument in
+    two:
 
     - a {e global descriptor catalogue} — counter and histogram names,
       units and descriptions, registered once per process by the module
@@ -13,9 +13,9 @@
       run, held in a {!ctx} record.
 
     The {e ambient} context is domain-local ({!current}/{!with_ctx});
-    the process starts in {!default}, which reproduces the old global
-    behaviour exactly, so every existing call site keeps working.
-    Worker domains spawned by the simulator's pools inherit the
+    the process starts in {!default}, created disabled.  Every
+    instrumentation site is gated on {!recording} and records into the
+    ambient context.  Worker domains spawned by the simulator's pools inherit the
     caller's context (the pool captures it when a job is published).
 
     On top of the counters this adds the profiling layer: log-bucketed
@@ -211,11 +211,11 @@ let with_ctx ctx f =
 
 (* --- the switch and the clock ------------------------------------------- *)
 
-(* How many contexts are currently enabled, process-wide.  The trace
-   facade's disabled fast path reads this single atomic instead of doing
-   a DLS lookup per instrumentation site: with zero contexts enabled a
-   gate costs one load and a branch, same as the pre-context instrument
-   (the <2% budget in bench/main.ml depends on it). *)
+(* How many contexts are currently enabled, process-wide.  An
+   instrumentation site's disabled fast path ([recording]) reads this
+   single atomic instead of doing a DLS lookup: with zero contexts
+   enabled a gate costs one load and a branch (the <2% budget in
+   bench/main.ml depends on it). *)
 let n_enabled = Atomic.make 0
 
 let enabled ctx = Atomic.get ctx.enabled_flag
@@ -229,6 +229,7 @@ let disable ctx =
     ignore (Atomic.fetch_and_add n_enabled (-1))
 
 let any_enabled () = Atomic.get n_enabled > 0
+let recording () = Atomic.get n_enabled > 0 && Atomic.get (current ()).enabled_flag
 let now ctx = Atomic.get ctx.clock
 let advance ctx cycles = if cycles > 0 then ignore (Atomic.fetch_and_add ctx.clock cycles)
 

@@ -5,8 +5,17 @@
     process-global catalogue; the {e values} live in a {!ctx}.  The
     ambient context is domain-local: library code reads {!current} and
     the CLI/daemon wraps each run in {!with_ctx}.  The process starts in
-    {!default}, which reproduces the old process-global behaviour, so
-    call sites that predate contexts keep working unchanged.
+    {!default}, which stays disabled unless a caller enables it.
+
+    An instrumentation site is written as
+    {[
+      if Metrics.recording () then begin
+        let m = Metrics.current () in
+        Metrics.add m c_reads n;
+        Metrics.span m ~cat ~name ~ts:(Metrics.now m) ~dur ()
+      end
+    ]}
+    so the disabled path is one atomic read and no site allocates.
 
     See [docs/OBSERVABILITY.md] for the context API guide, the histogram
     bucketing scheme and its percentile error bound, and the profile
@@ -24,9 +33,8 @@ val create : ?label:string -> ?capacity:int -> unit -> ctx
     [capacity < 1]. *)
 
 val default : ctx
-(** The process-wide default context — the one ambient until the first
-    {!with_ctx}, and the backing store of the [Nsc_trace.Trace]
-    facade's global API. *)
+(** The process-wide default context: the one ambient on a domain that
+    is not inside a {!with_ctx}.  Created disabled. *)
 
 val label : ctx -> string
 
@@ -46,9 +54,14 @@ val disable : ctx -> unit
 
 val any_enabled : unit -> bool
 (** Whether {e any} context is currently enabled, process-wide — a single
-    atomic read.  The trace facade's disabled fast path: when this is
-    [false], every instrumentation site can skip the per-domain context
-    lookup entirely, because [add]/[observe]/[span] would no-op anyway. *)
+    atomic read.  When this is [false], [add]/[observe]/[span] on every
+    context would no-op, so a site can skip the per-domain lookup. *)
+
+val recording : unit -> bool
+(** Whether the calling domain's ambient context is enabled: the gate of
+    every instrumentation site.  [any_enabled ()] first, so with no
+    context enabled anywhere it costs one atomic read and no DLS
+    lookup. *)
 
 val reset : ctx -> unit
 (** Zero every counter, histogram and attribution table, clear the span

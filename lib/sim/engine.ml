@@ -40,32 +40,30 @@ type result = {
 let max_recorded_events = 1000
 
 (* Observability: whole-run totals and one span per executed instruction.
-   All sites are gated on the trace-enabled flag; the disabled path costs
+   All sites are gated on [Metrics.recording]; the disabled path costs
    one branch per instruction, not per element. *)
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 module Fault = Nsc_fault.Fault
 
 let c_instructions =
-  Trace.counter ~name:"sim.instructions" ~units:"instructions"
+  Metrics.counter ~name:"sim.instructions" ~units:"instructions"
     ~desc:"pipeline instructions executed by the engine"
 
 let c_cycles =
-  Trace.counter ~name:"sim.cycles" ~units:"cycles"
+  Metrics.counter ~name:"sim.cycles" ~units:"cycles"
     ~desc:"simulated cycles charged to pipeline execution"
 
 let c_flops =
-  Trace.counter ~name:"sim.flops" ~units:"flops"
+  Metrics.counter ~name:"sim.flops" ~units:"flops"
     ~desc:"floating-point operations performed by engaged units"
 
 let c_elements =
-  Trace.counter ~name:"sim.elements" ~units:"elements"
+  Metrics.counter ~name:"sim.elements" ~units:"elements"
     ~desc:"vector elements streamed through pipelines"
 
 let c_traps =
-  Trace.counter ~name:"sim.traps" ~units:"events"
+  Metrics.counter ~name:"sim.traps" ~units:"events"
     ~desc:"arithmetic exceptions trapped during execution"
-
-module Metrics = Nsc_metrics.Metrics
 
 let h_exec_cycles =
   Metrics.histogram ~name:"hist.exec_cycles" ~units:"cycles"
@@ -112,25 +110,25 @@ let note_attribution ctx (sem : Semantic.t) (r : result) =
    clock advances by the instruction's cycle estimate, so consecutive
    instructions lie end-to-end in the exported trace. *)
 let note_run ~kind (sem : Semantic.t) (r : result) =
-  if Trace.enabled () then begin
+  if Metrics.recording () then begin
     let ctx = Metrics.current () in
     let traps = Interrupt.trapped_exceptions r.events in
-    let ts = Trace.now () in
-    Trace.advance r.cycles;
-    Trace.span ~cat:"engine"
+    let ts = Metrics.now ctx in
+    Metrics.advance ctx r.cycles;
+    Metrics.span ctx ~cat:"engine"
       ~name:(Printf.sprintf "exec:i%d" sem.Semantic.index)
       ~ts ~dur:r.cycles
       ~args:
-        [ ("kind", Trace.Str kind);
-          ("flops", Trace.Int r.flops);
-          ("elements", Trace.Int r.elements);
-          ("writes", Trace.Int r.writes) ]
+        [ ("kind", Metrics.Str kind);
+          ("flops", Metrics.Int r.flops);
+          ("elements", Metrics.Int r.elements);
+          ("writes", Metrics.Int r.writes) ]
       ();
-    Trace.add c_instructions 1;
-    Trace.add c_cycles r.cycles;
-    Trace.add c_flops r.flops;
-    Trace.add c_elements r.elements;
-    if traps > 0 then Trace.add c_traps traps;
+    Metrics.add ctx c_instructions 1;
+    Metrics.add ctx c_cycles r.cycles;
+    Metrics.add ctx c_flops r.flops;
+    Metrics.add ctx c_elements r.elements;
+    Metrics.add ctx c_traps traps;
     Metrics.observe ctx h_exec_cycles r.cycles;
     note_attribution ctx sem r
   end
@@ -139,7 +137,7 @@ let note_run ~kind (sem : Semantic.t) (r : result) =
    counters (one transfer per stream, [count = 0] meaning the vector
    length, exactly as the hardware descriptors resolve). *)
 let note_read_streams ~vlen streams =
-  if Trace.enabled () then
+  if Metrics.recording () then
     List.iter
       (fun (_, (t : Dma.transfer)) ->
         Dma.note_read ~words:(Dma.effective_count t ~vector_length:vlen))
@@ -687,23 +685,3 @@ let run (node : Node.t) ?(record_trace = false) ?(honor_timing = true)
   run_kernel node ~record_trace
     (Kernel.compile (Plan.compile node.Node.params ~honor_timing sem))
 
-(* --- explicit metric contexts ------------------------------------------- *)
-
-(* Each public entry point takes an optional [?metrics] context; when
-   given, the whole execution (instrumentation, clock, histograms,
-   attribution) lands in that context instead of the ambient one.  The
-   internal call graph stays context-free — the facade reads the ambient
-   context at each site — so threading costs one [Domain.DLS] swap per
-   entry, not an argument on every helper. *)
-let in_ctx metrics f =
-  match metrics with None -> f () | Some m -> Metrics.with_ctx m f
-
-let run_general node ?record_trace ?honor_timing ?analysis ?metrics sem =
-  in_ctx metrics (fun () ->
-      run_general node ?record_trace ?honor_timing ?analysis sem)
-
-let run_kernel node ?record_trace ?budget ?metrics kn =
-  in_ctx metrics (fun () -> run_kernel node ?record_trace ?budget kn)
-
-let run node ?record_trace ?honor_timing ?metrics sem =
-  in_ctx metrics (fun () -> run node ?record_trace ?honor_timing sem)

@@ -12,11 +12,10 @@
     diagram with a missing delay queue computes visibly wrong results, which
     is what the paper's proposed visual debugger is for.
 
-    Every entry point takes an optional [?metrics] context; when given,
-    all instrumentation (counters, spans, the clock, latency histograms
-    and per-unit cycle attribution) lands in that
-    {!Nsc_metrics.Metrics.ctx} instead of the calling domain's ambient
-    context. *)
+    All instrumentation (counters, spans, the clock, latency histograms
+    and per-unit cycle attribution) lands in the calling domain's ambient
+    {!Nsc_metrics.Metrics.ctx}; wrap a call in
+    [Nsc_metrics.Metrics.with_ctx] to scope it to one context. *)
 
 (** Recorded values of every engaged unit at every element, kept for the
     visual debugger's annotated diagrams (only when [record_trace] was
@@ -58,7 +57,8 @@ val run_general :
   ?record_trace:bool ->
   ?honor_timing:bool ->
   ?analysis:Nsc_checker.Timing.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
+  Nsc_diagram.Semantic.t ->
+  result
 
 (** Execute a fused {!Kernel.t}: buffers drawn from the
     domain-local {!Kernel.acquire} pool, read streams gathered with
@@ -76,7 +76,6 @@ val run_kernel :
   Node.t ->
   ?record_trace:bool ->
   ?budget:Nsc_guard.Guard.Budget.t ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
   Kernel.t ->
   result
 
@@ -87,5 +86,6 @@ val run :
   Node.t ->
   ?record_trace:bool ->
   ?honor_timing:bool ->
-  ?metrics:Nsc_metrics.Metrics.ctx -> Nsc_diagram.Semantic.t -> result
+  Nsc_diagram.Semantic.t ->
+  result
 

@@ -31,7 +31,7 @@
 open Nsc_arch
 open Nsc_diagram
 
-module Trace = Nsc_trace.Trace
+module Metrics = Nsc_metrics.Metrics
 module A1 = Bigarray.Array1
 
 (** Padded executable buffer: unboxed float64, C layout. *)
@@ -41,23 +41,23 @@ type buf = Memory.vec
    often a cached kernel was reused, and how often a kernel had to carry
    the general-evaluator fallback instead of a fused body. *)
 let c_compiles =
-  Trace.counter ~name:"kernel.compiles" ~units:"kernels"
+  Metrics.counter ~name:"kernel.compiles" ~units:"kernels"
     ~desc:"plans lowered to fused vector kernels"
 
 let c_cache_hits =
-  Trace.counter ~name:"kernel.cache_hits" ~units:"hits"
+  Metrics.counter ~name:"kernel.cache_hits" ~units:"hits"
     ~desc:"kernel-cache hits (a compiled kernel was reused)"
 
 let c_fallbacks =
-  Trace.counter ~name:"kernel.fallbacks" ~units:"kernels"
+  Metrics.counter ~name:"kernel.fallbacks" ~units:"kernels"
     ~desc:"kernels compiled without a fused body (general-evaluator fallback)"
 
 let c_pool_hits =
-  Trace.counter ~name:"kernel.pool_hits" ~units:"buffers"
+  Metrics.counter ~name:"kernel.pool_hits" ~units:"buffers"
     ~desc:"execution buffers reused from the domain-local pool"
 
 let c_pool_misses =
-  Trace.counter ~name:"kernel.pool_misses" ~units:"buffers"
+  Metrics.counter ~name:"kernel.pool_misses" ~units:"buffers"
     ~desc:"execution buffers freshly allocated (pool empty for the length)"
 
 (** One lowered functional unit.  [out] is the absolute buffer slot of the
@@ -173,11 +173,11 @@ let acquire len : buf =
   | Some ({ contents = n, b :: rest } as l) when n > 0 ->
       l := (n - 1, rest);
       Atomic.incr pool_hits;
-      if Trace.enabled () then Trace.add c_pool_hits 1;
+      if Metrics.recording () then Metrics.add (Metrics.current ()) c_pool_hits 1;
       b
   | _ ->
       Atomic.incr pool_misses;
-      if Trace.enabled () then Trace.add c_pool_misses 1;
+      if Metrics.recording () then Metrics.add (Metrics.current ()) c_pool_misses 1;
       A1.create Bigarray.float64 Bigarray.c_layout len
 
 (** Return a buffer to the calling domain's pool for reuse by a later
@@ -216,9 +216,10 @@ let acquire_into len (dst : buf array) ~from =
     done;
     if !hits > 0 then ignore (Atomic.fetch_and_add pool_hits !hits);
     if n > !hits then ignore (Atomic.fetch_and_add pool_misses (n - !hits));
-    if Trace.enabled () then begin
-      if !hits > 0 then Trace.add c_pool_hits !hits;
-      if n > !hits then Trace.add c_pool_misses (n - !hits)
+    if Metrics.recording () then begin
+      let m = Metrics.current () in
+      Metrics.add m c_pool_hits !hits;
+      Metrics.add m c_pool_misses (n - !hits)
     end
   end
 
@@ -632,20 +633,14 @@ let compile_body (pl : Plan.t) (f : Plan.fast) : body =
 (** Lower a compiled plan to a fused kernel. *)
 let compile (pl : Plan.t) : t =
   Atomic.incr compiles;
-  if Trace.enabled () then Trace.add c_compiles 1;
+  if Metrics.recording () then Metrics.add (Metrics.current ()) c_compiles 1;
   match pl.Plan.fast with
   | None ->
-      if Trace.enabled () then Trace.add c_fallbacks 1;
+      if Metrics.recording () then Metrics.add (Metrics.current ()) c_fallbacks 1;
       { plan = pl; body = None }
   | Some f -> { plan = pl; body = Some (compile_body pl f) }
 
 (* --- per-instruction kernel cache --------------------------------------- *)
-
-(* Same descriptor the plan cache registers: one [cache.evictions] trace
-   counter covers both compilation stages. *)
-let c_evictions =
-  Trace.counter ~name:"cache.evictions" ~units:"entries"
-    ~desc:"bounded plan/kernel cache entries evicted (least recently used)"
 
 (** Cache keyed by (instruction index, vector length), layered over the
     plan cache: a hit requires the cached kernel to have been compiled
@@ -684,7 +679,8 @@ let evict_oldest c =
   | Some (k, _) ->
       Hashtbl.remove c.tbl k;
       Atomic.incr evictions;
-      if Trace.enabled () then Trace.add c_evictions 1
+      (* [Plan.c_evictions] covers both compilation stages *)
+      if Metrics.recording () then Metrics.add (Metrics.current ()) Plan.c_evictions 1
 
 let cached (kc : cache) (pc : Plan.cache) (p : Params.t) ?(honor_timing = true)
     (sem : Semantic.t) : t =
@@ -702,7 +698,7 @@ let cached (kc : cache) (pc : Plan.cache) (p : Params.t) ?(honor_timing = true)
   in
   match hit with
   | Some kn ->
-      if Trace.enabled () then Trace.add c_cache_hits 1;
+      if Metrics.recording () then Metrics.add (Metrics.current ()) c_cache_hits 1;
       kn
   | None ->
       let kn = compile pl in

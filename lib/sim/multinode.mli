@@ -78,9 +78,7 @@ val shutdown : t -> unit
     the machine advances by the slowest node.  [domains] fans per-node
     work across OCaml domains with bit-identical results. *)
 val compute_step :
-  ?domains:int ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  t -> (int -> Node.t -> int * int) -> unit
+  ?domains:int -> t -> (int -> Node.t -> int * int) -> unit
 
 (** One message of a communication phase. *)
 type message = {
@@ -102,7 +100,7 @@ val message_cost : t -> message -> int * bool
     pairs proceed in parallel, transfers leaving one source serialise on
     its links, and the phase costs the slowest source's total.  The
     serialisation surplus is charged to the [router.contention_cycles]
-    trace counter.  Under an installed fault model this draws from the
+    counter.  Under an installed fault model this draws from the
     seeded fault stream, exactly as {!exchange} would. *)
 val exchange_cycles : t -> message list -> int
 
@@ -120,7 +118,6 @@ type in_flight
     machine-time charge and the recovery-ledger notes wait for
     {!exchange_finish}).  Undeliverable payloads never land. *)
 val exchange_start :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
   t -> (message * (float array * int * int)) list -> in_flight
 
 (** Complete a posted exchange: resolve the deferred recovery-ledger
@@ -132,10 +129,7 @@ val exchange_start :
     counter); the serialisation surplus on [contention_cycles] and the
     [router.contention_cycles] counter.  Raises [Invalid_argument] if
     the handle was already completed. *)
-val exchange_finish :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  ?overlapped_cycles:int ->
-  t -> in_flight -> unit
+val exchange_finish : ?overlapped_cycles:int -> t -> in_flight -> unit
 
 (** Execute a communication phase synchronously — exactly
     {!exchange_start} followed by an immediate {!exchange_finish} with no
@@ -143,9 +137,7 @@ val exchange_finish :
     cost, draw and deliver identically.  Messages whose recovery ladder
     fails are not delivered (booked as unrecovered on the fault
     ledger). *)
-val exchange :
-  ?metrics:Nsc_metrics.Metrics.ctx ->
-  t -> (message * (float array * int * int)) list -> unit
+val exchange : t -> (message * (float array * int * int)) list -> unit
 
 (** Aggregate sustained GFLOPS of the machine so far (0.0 at zero
     cycles — never a division by zero). *)

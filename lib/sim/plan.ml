@@ -18,6 +18,7 @@
 open Nsc_arch
 open Nsc_diagram
 open Nsc_checker
+module Metrics = Nsc_metrics.Metrics
 
 (** Where a functional-unit operand comes from, resolved to plan indices.
     [Unit k] is the same-element output of plan unit [k] (chain or switch
@@ -307,11 +308,11 @@ let compile (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
 
 (* --- per-instruction plan cache ----------------------------------------- *)
 
-(* The shared eviction counter: plan and kernel caches both register it
-   (the catalogue is idempotent by name), so one trace counter covers both
-   compilation stages.  See docs/OBSERVABILITY.md. *)
+(* The shared eviction counter: the kernel cache bumps this descriptor
+   too, so one counter covers both compilation stages.  See
+   docs/OBSERVABILITY.md. *)
 let c_evictions =
-  Nsc_trace.Trace.counter ~name:"cache.evictions" ~units:"entries"
+  Metrics.counter ~name:"cache.evictions" ~units:"entries"
     ~desc:"bounded plan/kernel cache entries evicted (least recently used)"
 
 (** Cache keyed by (instruction index, vector length) — the extra length
@@ -355,7 +356,7 @@ let evict_oldest c =
   | Some (k, _) ->
       Hashtbl.remove c.tbl k;
       Atomic.incr evictions;
-      if Nsc_trace.Trace.enabled () then Nsc_trace.Trace.add c_evictions 1
+      if Metrics.recording () then Metrics.add (Metrics.current ()) c_evictions 1
 
 let cached (cache : cache) (p : Params.t) ?(honor_timing = true) (sem : Semantic.t) : t =
   let key = (sem.Semantic.index, sem.Semantic.vector_length) in

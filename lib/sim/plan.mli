@@ -69,8 +69,12 @@ val compile_count : unit -> int
 val cache_hit_count : unit -> int
 
 val eviction_count : unit -> int
-(** Entries removed by LRU eviction from bounded caches (the
-    [cache.evictions] trace counter mirrors this per context). *)
+(** Entries removed by LRU eviction from bounded caches ({!c_evictions}
+    mirrors this per context). *)
+
+val c_evictions : Nsc_metrics.Metrics.counter
+(** [cache.evictions]: LRU evictions from a bounded plan or kernel
+    cache, per metric context.  {!Kernel} bumps this same descriptor. *)
 
 val reset_counters : unit -> unit
 
@@ -87,8 +91,8 @@ type cache
 
 val make_cache : ?bound:int -> unit -> cache
 (** [bound] caps resident entries; the least recently used entry is
-    evicted to admit a new one (counted by {!eviction_count} and the
-    [cache.evictions] trace counter).  Default: unbounded.  Raises
+    evicted to admit a new one (counted by {!eviction_count} and
+    {!c_evictions}).  Default: unbounded.  Raises
     [Invalid_argument] when [bound < 1]. *)
 
 val cached : cache -> Params.t -> ?honor_timing:bool -> Semantic.t -> t

@@ -51,7 +51,12 @@ val max_recorded_events : int
     [budget] arms cooperative supervision: each dispatch's cycles (plus
     reconfiguration) are charged to it and it is checked at every
     instruction boundary, so a run whose budget expires unwinds with
-    [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on. *)
+    [Nsc_guard.Guard.Budget.Deadline_exceeded] instead of running on.
+
+    Counters, spans and histograms land in the calling domain's ambient
+    metric context: wrap the call in [Nsc_metrics.Metrics.with_ctx ctx]
+    to collect a run in [ctx] (then [sim.cycles + sim.reconfig_cycles]
+    in [ctx] equals the outcome's [total_cycles]). *)
 val run :
   Node.t ->
   ?from_microcode:bool ->
@@ -61,6 +66,5 @@ val run :
   ?kernel_cache:Kernel.cache ->
   ?budget:Nsc_guard.Guard.Budget.t ->
   ?on_instruction:(Nsc_diagram.Semantic.t -> Engine.result -> unit) ->
-  ?metrics:Nsc_metrics.Metrics.ctx ->
   Nsc_microcode.Codegen.compiled -> (outcome, string) result
 

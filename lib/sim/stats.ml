@@ -60,22 +60,6 @@ let kernel_pool_misses = Kernel.pool_miss_count
 let reset_kernel_counters = Kernel.reset_counters
 let cache_evictions () = Plan.eviction_count () + Kernel.eviction_count ()
 
-(** {2 The trace instrument}
-
-    Simulated-machine observability, re-exported from {!Nsc_trace.Trace}
-    so simulation callers have one reporting entry point: the registered
-    counter catalogue, the plain-text digest and the Chrome trace-event
-    export.  See [docs/OBSERVABILITY.md]. *)
-
-let trace_counters () =
-  List.map
-    (fun c ->
-      (Nsc_trace.Trace.name c, Nsc_trace.Trace.value c, Nsc_trace.Trace.units c))
-    (Nsc_trace.Trace.counters ())
-
-let trace_summary = Nsc_trace.Trace.summary
-let trace_to_chrome = Nsc_trace.Trace.to_chrome
-
 (** {2 The profile layer}
 
     The hotspot view over a metric context: where the run's cycles went,

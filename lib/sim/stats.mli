@@ -2,7 +2,11 @@
 
     The paper's headline figures — 640 MFLOPS peak per node, 40 GFLOPS for
     a 64-node machine — are derived in {!Nsc_arch.Params}; this module turns
-    simulated cycle/flop counts into comparable sustained numbers. *)
+    simulated cycle/flop counts into comparable sustained numbers, and
+    reads a run's hotspots out of a metric context.  The counters,
+    spans and histograms themselves are read straight from
+    [Nsc_metrics.Metrics]; the process-wide plan/kernel totals below are
+    the only counters kept outside it. *)
 
 (** Seconds of machine time represented by [cycles] at the machine's
     clock rate. *)
@@ -60,28 +64,11 @@ val cache_evictions : unit -> int
     ({!Plan.eviction_count} + {!Kernel.eviction_count}); reset by
     {!reset_plan_counters} and {!reset_kernel_counters} respectively. *)
 
-(** {2 The trace instrument}
-
-    Simulated-machine observability, re-exported from {!Nsc_trace.Trace}
-    so simulation callers have one reporting entry point.  The schema is
-    documented in [docs/OBSERVABILITY.md]. *)
-
-(** Every registered trace counter as [(name, value, units)], sorted by
-    name (zero-valued counters included). *)
-val trace_counters : unit -> (string * int * string) list
-
-(** The plain-text digest printed by [nscvp stats]. *)
-val trace_summary : unit -> string
-
-(** The instrument as a Chrome trace-event JSON document (Perfetto /
-    [chrome://tracing] loadable). *)
-val trace_to_chrome : unit -> string
-
 (** {2 The profile layer}
 
     The hotspot view over a metric context: where a run's cycles went,
     unit by unit, against the paper's per-node peak.  Populated by the
-    engine's cycle attribution while tracing is enabled; surfaced by the
+    engine's cycle attribution while the context is enabled; surfaced by the
     [nscvp profile] subcommand.  Schema in [docs/OBSERVABILITY.md]. *)
 
 (** One row of the hotspot table: a (instruction, functional unit) pair

@@ -229,13 +229,32 @@ let isolation_tests =
         let b = Metrics.create ~label:"b" () in
         Metrics.enable a;
         Metrics.enable b;
-        (* run b's work on a second domain while a runs on this one: the
-           pool-free path, two truly interleaved instrumented runs *)
-        let db = Domain.spawn (fun () -> run_vecadd_in b ~n:nb ()) in
-        let _ = run_vecadd_in a ~n:na () in
-        let _ = Domain.join db in
+        (* the default context records too, so any site that escaped its
+           run's scoped context would land there *)
+        let default_bumps = Metrics.total_bumps Metrics.default in
+        Metrics.enable Metrics.default;
+        let (oa, _), (ob, _) =
+          Fun.protect ~finally:(fun () -> Metrics.disable Metrics.default)
+          @@ fun () ->
+          (* run b's work on a second domain while a runs on this one: the
+             pool-free path, two truly interleaved instrumented runs *)
+          let db = Domain.spawn (fun () -> run_vecadd_in b ~n:nb ()) in
+          let ra = run_vecadd_in a ~n:na () in
+          (ra, Domain.join db)
+        in
         Metrics.disable a;
         Metrics.disable b;
+        check_int "the default context saw none of either run" default_bumps
+          (Metrics.total_bumps Metrics.default);
+        List.iter
+          (fun (ctx, (o : Nsc_sim.Sequencer.outcome)) ->
+            check_int
+              (Printf.sprintf "%s: sim.cycles + sim.reconfig_cycles = total_cycles"
+                 (Metrics.label ctx))
+              o.Nsc_sim.Sequencer.stats.Nsc_sim.Sequencer.total_cycles
+              (ctx_counter_value ctx "sim.cycles"
+              + ctx_counter_value ctx "sim.reconfig_cycles"))
+          [ (a, oa); (b, ob) ];
         let ref_a = serial_profile na and ref_b = serial_profile nb in
         check_bool "a matches its serial reference" true
           (nonzero_counters a = nonzero_counters ref_a);
@@ -265,31 +284,39 @@ let isolation_tests =
         && nonzero_counters b = nonzero_counters ref_b
         && exec_percentiles a = exec_percentiles ref_a
         && exec_percentiles b = exec_percentiles ref_b);
-    case "the default context backs the facade and with_ctx restores it"
+    case "the default context is ambient and with_ctx restores it"
       (fun () ->
         let c =
           Metrics.counter ~name:"test.ambient" ~units:"u" ~desc:"suite fixture"
         in
+        (* an instrumentation site, written as the library writes them *)
+        let site n =
+          if Metrics.recording () then Metrics.add (Metrics.current ()) c n
+        in
         let fresh = Metrics.create ~label:"inner" () in
         Metrics.enable fresh;
-        Nsc_trace.Trace.reset ();
-        Nsc_trace.Trace.enable ();
+        check_bool "a disabled ambient context does not record" false
+          (Metrics.recording ());
+        check_bool "an enabled scoped context records" true
+          (Metrics.with_ctx fresh Metrics.recording);
+        Metrics.reset Metrics.default;
+        Metrics.enable Metrics.default;
         Fun.protect ~finally:(fun () ->
-            Nsc_trace.Trace.disable ();
-            Nsc_trace.Trace.reset ())
+            Metrics.disable Metrics.default;
+            Metrics.reset Metrics.default)
         @@ fun () ->
-        Nsc_trace.Trace.add c 2;
-        Metrics.with_ctx fresh (fun () -> Nsc_trace.Trace.add c 5);
+        site 2;
+        Metrics.with_ctx fresh (fun () -> site 5);
         (try
            Metrics.with_ctx fresh (fun () -> failwith "boom")
          with Failure _ -> ());
-        Nsc_trace.Trace.add c 1;
+        site 1;
         check_int "ambient adds landed in the default context" 3
           (Metrics.value Metrics.default c);
         check_int "scoped adds landed in the scoped context" 5
           (Metrics.value fresh c);
-        check_bool "the facade reads the ambient value" true
-          (Nsc_trace.Trace.value c = 3));
+        check_bool "the default is ambient again after an exception" true
+          (Metrics.current () == Metrics.default));
   ]
 
 (* --- snapshot and diff --------------------------------------------------- *)

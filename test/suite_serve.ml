@@ -386,12 +386,15 @@ let cache_tests =
    wall-clock latency, the domain-local Bigarray scratch-pool warmth, and
    the shared plan/kernel cache warmth (two concurrent jobs may race to
    compile the same plan, so whether a lookup hits or compiles depends on
-   the interleaving).  Everything else — every simulated-machine counter,
-   sweeps, residuals — must be bit-identical between a wave fanned across
-   domains and the same jobs run one by one. *)
+   the interleaving; a plan compile runs one timing analysis, so
+   [checker.analyses] follows the same warmth).  Everything else — every
+   simulated-machine counter, sweeps, residuals — must be bit-identical
+   between a wave fanned across domains and the same jobs run one by
+   one. *)
 let host_counters =
   [ "kernel.pool_hits"; "kernel.pool_misses"; "kernel.cache_hits";
-    "kernel.compiles"; "plan.cache_hits"; "plan.compiles"; "cache.evictions" ]
+    "kernel.compiles"; "plan.cache_hits"; "plan.compiles"; "cache.evictions";
+    "checker.analyses" ]
 let strip_host_noise obj =
   match obj with
   | Json.Obj fields ->

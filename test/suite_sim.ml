@@ -534,10 +534,14 @@ let plan_tests =
            the measurement window: only the simulator's own analyses count *)
         let c = Result.get_ok (Nsc_microcode.Codegen.compile kb prog) in
         let node = Node.create params in
-        let a0 = Nsc_checker.Timing.analysis_count () in
-        ignore (Result.get_ok (Sequencer.run node c));
-        check_int "analysed once for six executions" 1
-          (Nsc_checker.Timing.analysis_count () - a0));
+        let module Metrics = Nsc_metrics.Metrics in
+        let ctx = Metrics.create ~label:"analyses" () in
+        Metrics.enable ctx;
+        Fun.protect ~finally:(fun () -> Metrics.disable ctx) (fun () ->
+            Metrics.with_ctx ctx (fun () ->
+                ignore (Result.get_ok (Sequencer.run node c))));
+        let analyses = Option.get (Metrics.find_counter "checker.analyses") in
+        check_int "analysed once for six executions" 1 (Metrics.value ctx analyses));
     case "the general engine compiles each plan once on the Jacobi solve" (fun () ->
         let c, prepare = jacobi5 () in
         let compiles engine =
@@ -612,10 +616,16 @@ let kernel_tests =
           Result.get_ok (Nsc_apps.Jacobi.solve kb prob ~tol:1e-4 ~max_iters:200)
         in
         let off = go () in
-        Nsc_trace.Trace.reset ();
-        Nsc_trace.Trace.enable ();
-        let on = Fun.protect ~finally:Nsc_trace.Trace.disable go in
-        Nsc_trace.Trace.reset ();
+        let module Metrics = Nsc_metrics.Metrics in
+        let ctx = Metrics.create ~label:"tracing-on" () in
+        Metrics.enable ctx;
+        let on =
+          Fun.protect
+            ~finally:(fun () -> Metrics.disable ctx)
+            (fun () -> Metrics.with_ctx ctx go)
+        in
+        check_bool "the enabled run was recorded" true
+          (Metrics.total_bumps ctx > 0);
         check_int "sweeps" off.Nsc_apps.Jacobi.sweeps on.Nsc_apps.Jacobi.sweeps;
         check_bool "fields" true (off.Nsc_apps.Jacobi.u = on.Nsc_apps.Jacobi.u);
         check_bool "residual" true
